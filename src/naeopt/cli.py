@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -59,14 +60,13 @@ class _Runner:
         self.outputs.append(p)
         return p
 
-    def write_json(self, suffix: str, payload: dict, echo: bool = True) -> None:
+    def write_json(self, suffix: str, payload: dict) -> None:
         payload = _sig9(payload)
         with open(self.path(suffix), "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        if echo:
-            json.dump(payload, sys.stdout, indent=2)
-            print()
+        json.dump(payload, sys.stdout, indent=2)
+        print()
 
     def write_csv(self, suffix: str, header: list[str], rows) -> None:
         with open(self.path(suffix), "w", newline="") as fh:
@@ -126,14 +126,9 @@ def cmd_ratio(args) -> None:
     res = fredholm.approx_ratio(args.problem, grid=args.grid, rounds=args.rounds,
                                 n=args.N, coarse_n=args.coarse_N, threads=args.threads)
     sol = fredholm.optimal_step_function(
-        fredholm._dist(args.problem, res.alpha, res.rho, res.rho0_variant), args.N)
-    g = sol.f
-    edges = g.edges()
-    dens = np.exp(-np.square(np.where(np.isfinite(edges), edges, 0.0)) / 2) / np.sqrt(2 * np.pi)
-    dens[~np.isfinite(edges)] = 0.0
-    mids = g.cells * (dens[:-1] - dens[1:])
+        HardDistribution(args.problem, res.alpha, res.rho, res.rho0_variant), args.N)
     run.write_csv("_function.csv", ["cell_midpoint", "value"],
-                  zip(mids.tolist(), list(g.values)))
+                  zip(sol.f.centroids().tolist(), list(sol.f.values)))
     payload = {
         "problem": res.problem, "ratio": res.ratio, "alpha": res.alpha,
         "rho": res.rho, "rho0_variant": res.rho0_variant, "N": res.n,
@@ -216,7 +211,7 @@ def cmd_gap_eval(args) -> None:
 
 def cmd_stepopt(args) -> None:
     run = _Runner(args, "naeopt_stepopt")
-    sizes = tuple(int(k) for k in args.K.split(","))
+    sizes = _clause_sizes(args.K)
     cfg = stepopt.StepSearchConfig(sizes, steps=args.steps, pm_one=args.pm1,
                                    restarts=args.restarts, seed=args.seed)
     res = stepopt.optimize_step(cfg)
@@ -237,8 +232,8 @@ def cmd_stepopt(args) -> None:
 def cmd_sweep(args) -> None:
     run = _Runner(args, "naeopt_sweep")
     base = parse_f_spec(args.base)
-    sizes = tuple(int(k) for k in args.K.split(","))
-    lo, hi, step = (float(t) for t in args.range.split(":"))
+    sizes = _clause_sizes(args.K)
+    lo, hi, step = _sweep_range(args.range)
     positions = np.arange(lo, hi + step / 2, step)
     rows = stepopt.breakpoint_sweep(base, positions, sizes)
     header = ["position"] + [f"p{k}" for k in sizes]
@@ -292,6 +287,28 @@ def cmd_witness(args) -> None:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _clause_sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(k) for k in text.split(","))
+
+
+def _sweep_range(text: str) -> tuple[float, float, float]:
+    lo, hi, step = (float(t) for t in text.split(":"))
+    if not (math.isfinite(lo + hi) and 0.0 < step < math.inf):
+        raise ValueError(text)
+    return lo, hi, step
+
+
+def _checked(parse):
+    """argparse type that rejects what ``parse`` cannot read (a usage
+    error, naming the type) but keeps the text, so the manifest records
+    the flag as given."""
+    def check(text: str) -> str:
+        parse(text)
+        return text
+    check.__name__ = parse.__name__.strip("_").replace("_", " ")
+    return check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,7 +367,8 @@ def _build_parser() -> _Parser:
     g.set_defaults(func=cmd_gap_eval)
 
     sp = sub.add_parser("stepopt", help="optimize step rounding functions")
-    sp.add_argument("--K", required=True, help="comma-separated clause sizes, e.g. 3,5")
+    sp.add_argument("--K", required=True, type=_checked(_clause_sizes),
+                    help="comma-separated clause sizes, e.g. 3,5")
     sp.add_argument("--steps", type=int, default=2)
     sp.add_argument("--pm1", action="store_true")
     sp.add_argument("--restarts", type=int, default=64)
@@ -360,8 +378,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="marginal value of an extra breakpoint")
     sp.add_argument("--base", required=True, help="rounding-function spec")
-    sp.add_argument("--K", required=True)
-    sp.add_argument("--range", required=True, help="lo:hi:step")
+    sp.add_argument("--K", required=True, type=_checked(_clause_sizes))
+    sp.add_argument("--range", required=True, type=_checked(_sweep_range), help="lo:hi:step")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_sweep)
 
@@ -401,10 +419,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         args.func(args)
-    except NaeoptError as err:
-        print(f"naeopt: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (NaeoptError, OSError) as err:
         print(f"naeopt: {err}", file=sys.stderr)
         return 2
     return 0

@@ -20,6 +20,7 @@ All types are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,6 +31,46 @@ from .errors import DomainError, StructuralError
 
 PSD_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shared numerics
+
+
+def gaussian_pdf(x):
+    """Standard normal density; 0 at +-inf."""
+    return np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
+
+
+def equal_mass_edges(n: int) -> np.ndarray:
+    """Edges -inf = a_0 < a_1 < ... < a_n = inf of the n cells of Gaussian
+    mass 1/n each."""
+    if n < 2:
+        raise DomainError("need at least 2 cells")
+    e = np.empty(n + 1)
+    e[0], e[n] = -np.inf, np.inf
+    e[1:n] = ndtri(np.arange(1, n) / n)
+    return e
+
+
+def golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
+    """Midpoint of the bracket left by ``iters`` golden-section steps
+    minimizing the unimodal ``fn`` on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return (a + b) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +153,13 @@ class GridFunction:
 
     def edges(self) -> np.ndarray:
         """Breakpoints -inf = a_0 < a_1 < ... < a_N = inf of the partition."""
-        n = self.cells
-        e = np.empty(n + 1)
-        e[0], e[n] = -np.inf, np.inf
-        e[1:n] = ndtri(np.arange(1, n) / n)
-        return e
+        return equal_mass_edges(self.cells)
+
+    def centroids(self) -> np.ndarray:
+        """Gaussian centroid E[X | X in cell i] = N (phi(a_{i-1}) - phi(a_i))
+        of every cell."""
+        dens = gaussian_pdf(self.edges())
+        return self.cells * (dens[:-1] - dens[1:])
 
     def oddness_defect(self) -> float:
         v = np.asarray(self.values)
@@ -267,8 +310,8 @@ class Clause:
     literals: tuple[int, ...]  # signed 1-based variable indices
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise StructuralError("clause weights must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise StructuralError("clause weights must be positive and finite")
         if len(self.literals) < 2:
             raise StructuralError("clauses need at least 2 literals")
         if any(l == 0 for l in self.literals):
@@ -312,7 +355,7 @@ class VectorAssignment:
         if v.ndim != 2:
             raise StructuralError("vectors must form an (n, d) array")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN coordinates fail too
             raise StructuralError("all vectors must have unit norm")
         # renormalize the residual 1e-7-ish file roundoff away
         v /= norms[:, None]

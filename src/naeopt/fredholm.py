@@ -46,9 +46,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
-from .core import GridFunction, HardDistribution
+from .core import GridFunction, HardDistribution, equal_mass_edges, golden_section_min
 from .errors import DomainError, StructuralError
 from . import moments
 
@@ -126,32 +125,27 @@ def completeness(dist: HardDistribution) -> float:
 # kernel matrices on the equal-mass grid
 
 
-def _grid_edges(n: int) -> np.ndarray:
-    e = np.empty(n + 1)
-    e[0], e[n] = -np.inf, np.inf
-    e[1:n] = ndtri(np.arange(1, n) / n)
-    return e
-
-
-@lru_cache(maxsize=96)
-def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
+def _odd_reduced(m: np.ndarray) -> np.ndarray:
     """R[i,l] = N (Mhat[i,l] - Mhat[i, N-1-l]) for i, l < N/2 (0-based).
 
     For odd f, sum_l N Mhat[i,l] f_l = sum_{l<N/2} R[i,l] f_l, and
     F_2[f](rho) = (2/N) f_half^T R f_half: one matrix serves both the
     linear system and the exact discrete noise stability.
     """
-    e = _grid_edges(n)
-    m = moments.rect_lattice(e, e, rho_key)
+    n = m.shape[0]
     half = n // 2
     return n * (m[:half, :half] - m[:half, ::-1][:, :half])
 
 
+@lru_cache(maxsize=96)
+def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
+    e = equal_mass_edges(n)
+    return _odd_reduced(moments.rect_lattice(e, e, rho_key))
+
+
 def build_kernel_matrix(spec: KernelSpec, n: int) -> np.ndarray:
     """Full N x N matrix of weighted cell-pair masses sum_j w_j Mhat(rho_j)."""
-    if n < 2:
-        raise DomainError("need at least 2 cells")
-    e = _grid_edges(n)
+    e = equal_mass_edges(n)
     out = np.zeros((n, n))
     for w, r in spec.terms:
         out += w * moments.rect_lattice(e, e, r)
@@ -192,7 +186,7 @@ def solve_discrete_fredholm(kernel: np.ndarray, lam: float, i_a: int) -> GridFun
     half = n // 2
     if not 0 <= i_a <= half:
         raise DomainError(f"clamp index must lie in [0, {half}]")
-    R = n * (kernel[:half, :half] - kernel[:half, ::-1][:, :half])
+    R = _odd_reduced(kernel)
     try:
         f = _solve_half(R, lam, i_a, n)
     except np.linalg.LinAlgError as err:
@@ -204,25 +198,31 @@ def solve_discrete_fredholm(kernel: np.ndarray, lam: float, i_a: int) -> GridFun
 # soundness
 
 
-def _f2_grid(fhalf: np.ndarray, n: int, rho: float, f2_one: float) -> float:
-    if rho >= 1.0:
-        return f2_one
-    if rho <= -1.0:
-        return -f2_one
-    R = _reduced_kernel(n, round(float(rho), 14))
-    return float(2.0 / n * (fhalf @ R @ fhalf))
+def _soundness_from(f2, dist: HardDistribution) -> float:
+    """s_2 or s_3 on the hard distribution of a function with noise
+    stability f2(rho); f2(1) = int f^2 phi is taken first."""
+    a = dist.alpha
+    f2_one = f2(1.0)
+    f2_rho = f2(dist.rho)
+    if dist.problem == "maxcut":
+        return a * (1.0 - f2_rho) / 2.0 + (1.0 - a) * (1.0 - f2_one) / 2.0
+    f2_rho0 = f2_one if dist.rho0_variant == "one" else f2(dist.rho0)
+    return a * (3.0 - 3.0 * f2_rho0) / 4.0 + (1.0 - a) * (3.0 - f2_one - 2.0 * f2_rho) / 4.0
 
 
 def _soundness_values(f: np.ndarray, dist: HardDistribution, n: int) -> float:
-    half = n // 2
-    fh = f[:half]
+    fh = f[: n // 2]
     f2_one = float(np.dot(f, f) / n)
-    f2_rho = _f2_grid(fh, n, dist.rho, f2_one)
-    a = dist.alpha
-    if dist.problem == "maxcut":
-        return a * (1.0 - f2_rho) / 2.0 + (1.0 - a) * (1.0 - f2_one) / 2.0
-    f2_rho0 = f2_one if dist.rho0_variant == "one" else _f2_grid(fh, n, dist.rho0, f2_one)
-    return a * (3.0 - 3.0 * f2_rho0) / 4.0 + (1.0 - a) * (3.0 - f2_one - 2.0 * f2_rho) / 4.0
+
+    def f2(rho: float) -> float:
+        if rho >= 1.0:
+            return f2_one
+        if rho <= -1.0:
+            return -f2_one
+        R = _reduced_kernel(n, round(float(rho), 14))
+        return float(2.0 / n * (fh @ R @ fh))
+
+    return _soundness_from(f2, dist)
 
 
 def soundness(f, dist: HardDistribution) -> float:
@@ -234,13 +234,7 @@ def soundness(f, dist: HardDistribution) -> float:
     """
     if isinstance(f, GridFunction):
         return _soundness_values(np.asarray(f.values), dist, f.cells)
-    a = dist.alpha
-    f2_one = moments.f2(f, 1.0)
-    f2_rho = moments.f2(f, dist.rho)
-    if dist.problem == "maxcut":
-        return a * (1.0 - f2_rho) / 2.0 + (1.0 - a) * (1.0 - f2_one) / 2.0
-    f2_rho0 = f2_one if dist.rho0_variant == "one" else moments.f2(f, dist.rho0)
-    return a * (3.0 - 3.0 * f2_rho0) / 4.0 + (1.0 - a) * (3.0 - f2_one - 2.0 * f2_rho) / 4.0
+    return _soundness_from(lambda rho: moments.f2(f, rho), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +264,19 @@ def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: in
     return float(np.linalg.norm(r[i_a:half]))
 
 
+def _best_solution(cands, dist: HardDistribution, n: int, consistent: bool,
+                   R: np.ndarray | None = None, lam: float = math.inf) -> FredholmSolution:
+    """The highest-soundness (i_a, f) candidate; the first one on ties."""
+    s, i_a, f = max(((_soundness_values(f, dist, n), i_a, f) for i_a, f in cands),
+                    key=lambda t: t[0])
+    return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
+                            _interior_residual(f, R, lam, i_a, n), float(s),
+                            completeness(dist), consistent, dist)
+
+
 def _vertex_solution(dist: HardDistribution, n: int) -> FredholmSolution:
     """Best of {sign, 0} by true soundness, for the degenerate corners."""
-    cands = [_sign_values(n), np.zeros(n)]
-    scored = [(_soundness_values(f, dist, n), f) for f in cands]
-    s, f = max(scored, key=lambda t: t[0])
-    i_a = n // 2 if f[0] == -1.0 else 0
-    return FredholmSolution(GridFunction(tuple(f)), i_a, 0.0, float(s),
-                            completeness(dist), True, dist)
+    return _best_solution([(n // 2, _sign_values(n)), (0, np.zeros(n))], dist, n, True)
 
 
 def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
@@ -340,13 +339,9 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
                     lo = mid
             i_star = hi
         pool = sorted({0, i_star, min(i_star + 1, half), min(i_star + 2, half), half})
-        cands = [(i_a, get(i_a)) for i_a in pool]
-        cands = [(i_a, f) for i_a, f in cands if f is not None and _consistent(f, i_a, n)]
+        cands = [(i_a, get(i_a)) for i_a in pool if ok(i_a)]
         if not cands:
-            for i_a in range(half + 1):
-                f = get(i_a)
-                if f is not None and _consistent(f, i_a, n):
-                    cands.append((i_a, f))
+            cands = [(i_a, get(i_a)) for i_a in range(half + 1) if ok(i_a)]
         return cands, sols
 
     cands, sols = run(lam)
@@ -355,16 +350,9 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
         cands, sols = run(lam)
 
     if cands:
-        scored = [(_soundness_values(f, dist, n), i_a, f) for i_a, f in cands]
-        ok_flag = True
-    else:
-        scored = [(_soundness_values(f, dist, n), i_a, f)
-                  for i_a, f in sols.items() if f is not None]
-        ok_flag = False
-    s, i_a, f = max(scored, key=lambda t: t[0])
-    res = _interior_residual(f, R, lam, i_a, n)
-    g = GridFunction(tuple(np.clip(f, -1.0, 1.0)))
-    return FredholmSolution(g, i_a, res, float(s), completeness(dist), ok_flag, dist)
+        return _best_solution(cands, dist, n, True, R, lam)
+    return _best_solution([(i_a, f) for i_a, f in sols.items() if f is not None],
+                          dist, n, False, R, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +378,14 @@ def _variants(problem: str):
     return ("clamped", "one") if problem == "nae3" else ("clamped",)
 
 
-def _dist(problem: str, alpha: float, rho: float, variant: str) -> HardDistribution:
-    if problem == "maxcut":
-        return HardDistribution("maxcut", alpha, rho)
-    return HardDistribution("nae3", alpha, rho, variant)
-
-
 def _scan_rho(args) -> list[CurvePoint]:
     problem, rho, alphas, n = args
     pts = []
     for variant in _variants(problem):
         hint = None
         for alpha in alphas:
-            sol = optimal_step_function(_dist(problem, alpha, rho, variant), n, hint=hint)
+            sol = optimal_step_function(HardDistribution(problem, alpha, rho, variant), n,
+                                        hint=hint)
             hint = sol.clamp_index if 1 <= sol.clamp_index < n // 2 else None
             pts.append(CurvePoint(problem, float(alpha), float(rho), variant,
                                   sol.completeness, sol.soundness, sol.consistent))
@@ -461,28 +444,10 @@ class RatioResult:
 def _ratio_at(problem: str, alpha: float, rho: float, variant: str, n: int) -> float:
     alpha = min(max(alpha, 0.0), 1.0)
     rho = min(max(rho, -1.0), 0.0)
-    sol = optimal_step_function(_dist(problem, alpha, rho, variant), n)
+    sol = optimal_step_function(HardDistribution(problem, alpha, rho, variant), n)
     if sol.completeness <= 1e-9:
         return math.inf
     return sol.soundness / sol.completeness
-
-
-def _golden(fn, lo: float, hi: float, iters: int) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
 
 
 def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
@@ -495,6 +460,8 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
     golden-section passes per axis at the full cell count around the
     coarse minimizer.
     """
+    if grid < 2:
+        raise DomainError("the coarse grid needs at least 2 points per axis")
     alphas = np.linspace(0.0, 1.0, grid)
     rhos = np.linspace(-1.0, 0.0, grid)
     pts = curve(problem, alphas, rhos, coarse_n, threads=threads)
@@ -503,10 +470,10 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
 
     ha = hr = max(0.01, 2.0 / (grid - 1))
     for _ in range(rounds):
-        a_star = _golden(lambda a: _ratio_at(problem, a, r_star, variant, n),
-                         max(0.0, a_star - ha), min(1.0, a_star + ha), 18)
-        r_star = _golden(lambda r: _ratio_at(problem, a_star, r, variant, n),
-                         max(-1.0, r_star - hr), min(0.0, r_star + hr), 18)
+        a_star = golden_section_min(lambda a: _ratio_at(problem, a, r_star, variant, n),
+                                    max(0.0, a_star - ha), min(1.0, a_star + ha), 18)
+        r_star = golden_section_min(lambda r: _ratio_at(problem, a_star, r, variant, n),
+                                    max(-1.0, r_star - hr), min(0.0, r_star + hr), 18)
         ha /= 3.0
         hr /= 3.0
     ratio = _ratio_at(problem, a_star, r_star, variant, n)
@@ -533,15 +500,10 @@ def slinear_fit(f: GridFunction) -> SLinearFit:
     clamped (slope undefined).
     """
     v = np.asarray(f.values)
-    n = f.cells
     interior = np.abs(v) < 1.0
     if not np.any(interior):
         raise DomainError("no interior cells: slope undefined")
-    e = f.edges()
-    dens = np.exp(-np.square(np.where(np.isfinite(e), e, 0.0)) / 2) / np.sqrt(2 * np.pi)
-    dens[~np.isfinite(e)] = 0.0
-    centroid = n * (dens[:-1] - dens[1:])
-    x, y = centroid[interior], v[interior]
+    x, y = f.centroids()[interior], v[interior]
     slope = float(np.dot(x, y) / np.dot(x, x))
     dev = y - np.clip(slope * x, -1.0, 1.0)
     return SLinearFit(slope, float(np.max(np.abs(dev))),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Clause, NAEInstance, VectorAssignment
 from .errors import DomainError, StructuralError
-from .hardness import BOUND, F2_STAR, P_STAR
+from .hardness import BOUND, F2_STAR, P_STAR, mixture_value
 from .moments import MomentEstimate
 from . import pipeline
 
@@ -97,14 +97,18 @@ def clause3_vectors(idx, s) -> tuple[SparseVec, SparseVec, SparseVec]:
             _vec([(i3, s3), (i1, -s1), (i6, s6)]))
 
 
-def clause5_vectors(idx, s) -> tuple[SparseVec, ...]:
-    """Four petals sharing a signed coordinate plus one disjoint vector."""
+def _petals(idx, s, k: int) -> tuple[SparseVec, ...]:
+    """k vectors sharing the signed coordinate (idx[0], s[0]); vector j
+    adds coordinates 2j+1 and 2j+2."""
     idx = [int(x) for x in idx]
     s = [int(x) for x in s]
-    petals = tuple(_vec([(idx[0], s[0]), (idx[2 * j - 1], s[2 * j - 1]), (idx[2 * j], s[2 * j])])
-                   for j in range(1, 5))
-    fifth = _vec([(idx[9], s[9]), (idx[10], s[10]), (idx[11], s[11])])
-    return petals + (fifth,)
+    return tuple(_vec([(idx[0], s[0]), (idx[2 * j + 1], s[2 * j + 1]),
+                       (idx[2 * j + 2], s[2 * j + 2])]) for j in range(k))
+
+
+def clause5_vectors(idx, s) -> tuple[SparseVec, ...]:
+    """Four petals sharing a signed coordinate plus one disjoint vector."""
+    return _petals(idx, s, 4) + (_vec(zip(map(int, idx[9:12]), map(int, s[9:12]))),)
 
 
 def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
@@ -113,11 +117,7 @@ def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
         raise DomainError(f"D_{k} needs at least {2 * k + 1} coordinates, have {n}")
     rng = np.random.default_rng(seed)
     idx, s = _sample_tuples(rng, 1, n, 2 * k + 1)
-    idx, s = idx[0], s[0]
-    return tuple(_vec([(int(idx[0]), int(s[0])),
-                       (int(idx[2 * j + 1]), int(s[2 * j + 1])),
-                       (int(idx[2 * j + 2]), int(s[2 * j + 2]))])
-                 for j in range(k))
+    return _petals(idx[0], s[0], k)
 
 
 @dataclass(frozen=True)
@@ -191,31 +191,13 @@ def load_gap(instance_text: str, vector_text: str) -> GapInstance:
     evaluation needs.
     """
     inst = pipeline.parse_instance(instance_text)
-    variables = []
-    n = None
-    for lineno, raw in enumerate(vector_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            n = int(parts[2])
-            continue
-        if len(parts) < 2 or parts[1] != "s":
-            raise StructuralError(f"line {lineno}: gap vectors must be sparse rows")
-        pairs = []
-        for tok in parts[2:]:
-            i, s = tok.split(":")
-            pairs.append((int(i) - 1, int(s)))
-        variables.append((int(parts[0]), _vec(pairs)))
-    if n is None:
-        raise StructuralError("missing 'v' header in vector file")
-    variables.sort()
-    if [vid for vid, _ in variables] != list(range(1, inst.num_vars + 1)):
-        raise StructuralError("vector file does not cover the instance variables")
+    num_vars, n, rows = pipeline.read_vector_rows(vector_text)
+    if num_vars != inst.num_vars or not all(isinstance(r, tuple) for r in rows.values()):
+        raise StructuralError("gap vectors must be sparse rows, one per instance variable")
+    variables = tuple(_vec(rows[vid]) for vid in range(1, num_vars + 1))
     m3 = sum(1 for c in inst.clauses if len(c.literals) == 3)
     m5 = sum(1 for c in inst.clauses if len(c.literals) == 5)
-    return GapInstance(n, m3, m5, tuple(v for _, v in variables), inst)
+    return GapInstance(n, m3, m5, variables, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +280,14 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
         signs = rng.integers(0, 2, size=(samples, 2 * k + 1)) * 2 - 1
         rep_pos, orient = _tuple_positives(signs, k)
         x = _apply_rule_positives(rep_pos, orient, p1, p2, rng)
-        prod = np.prod(x, axis=1).astype(float)
-        mean = float(prod.mean())
-        se = float(prod.std(ddof=1) / math.sqrt(samples))
-        out.append(MomentEstimate(mean, se, samples))
+        out.append(_estimate(np.prod(x, axis=1).astype(float)))
     return out[0], out[1]
+
+
+def _estimate(prods: np.ndarray) -> MomentEstimate:
+    """Sample mean with its ddof=1 standard error."""
+    return MomentEstimate(float(prods.mean()),
+                          float(prods.std(ddof=1) / math.sqrt(prods.size)), prods.size)
 
 
 def _assignment_moments_callable(rule, n: int, samples: int, seed: int):
@@ -317,8 +302,7 @@ def _assignment_moments_callable(rule, n: int, samples: int, seed: int):
                 rep, orient = v.canonical()
                 total *= orient * int(rule(rep))
             prods[t] = total
-        out.append(MomentEstimate(float(prods.mean()),
-                                  float(prods.std(ddof=1) / math.sqrt(samples)), samples))
+        out.append(_estimate(prods))
     return out[0], out[1]
 
 
@@ -352,12 +336,7 @@ def expected_fraction(gap: GapInstance, rule: tuple[float, float]) -> tuple[floa
                       2.0 * p1 - 1.0, 2.0 * p2 - 1.0)
     total = 0.0
     var_acc = 0.0
-    by_size: dict[int, list] = {}
-    for cl in gap.instance.clauses:
-        by_size.setdefault(len(cl.literals), []).append(cl)
-    for cls in by_size.values():
-        lits = np.array([c.literals for c in cls])
-        w = np.array([c.weight for c in cls])
+    for lits, w in pipeline.clause_arrays(gap.instance):
         mu = mu_var[np.abs(lits) - 1] * np.sign(lits)
         e_sat = 1.0 - np.prod((1.0 + mu) / 2.0, axis=1) - np.prod((1.0 - mu) / 2.0, axis=1)
         total += float(np.dot(w, e_sat))
@@ -390,8 +369,7 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     exp_frac, sigma_inst = expected_fraction(gap, rule)
     f2_est, f4_est = assignment_moments(rule, gap.n, moment_samples,
                                         seed + 7919)
-    pred = (WEIGHT_3 * (3.0 + 3.0 * f2_est.value) / 4.0
-            + WEIGHT_5 * (15.0 - 6.0 * f2_est.value - f4_est.value) / 16.0)
+    pred = mixture_value(WEIGHT_5, f2_est.value, f4_est.value)
     return GapEvaluation(mean, se, trials, float(exp_frac), float(sigma_inst),
                          float(pred), f2_est, f4_est)
 
@@ -399,5 +377,4 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
 def soundness_upper_estimate(f2: float, f4: float, p: float = P_STAR,
                              slack: float = 0.0) -> float:
     """Upper bound on any assignment's value from measured moments."""
-    from .hardness import mixture_value
     return mixture_value(p, f2, max(f4, f2 * f2 - slack))

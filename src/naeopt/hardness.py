@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import golden_section_min
 from .errors import DomainError
 
 P_STAR = 3.0 / np.sqrt(21.0)
@@ -53,24 +54,6 @@ def inner_max(p: float) -> tuple[float, float]:
     return f2, mixture_value(p, f2, f2 * f2)
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
 def nae35_bound(verify_tol: float = 1e-9) -> MixtureBound:
     """Closed-form bound plus an independent numeric minimax check.
 
@@ -83,7 +66,7 @@ def nae35_bound(verify_tol: float = 1e-9) -> MixtureBound:
     i = int(np.argmin(vals))
     lo = ps[max(0, i - 1)]
     hi = ps[min(len(ps) - 1, i + 1)]
-    p_num = _golden_min(lambda p: inner_max(p)[1], lo, hi)
+    p_num = golden_section_min(lambda p: inner_max(p)[1], lo, hi, 200)
     numeric = inner_max(p_num)[1]
     residual = abs(numeric - BOUND)
     if residual > verify_tol:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepFunction
+from .core import StepFunction, gaussian_pdf
 from .errors import DomainError, NaeoptError
 
 
@@ -83,10 +83,6 @@ def hermite_values(x, max_degree: int) -> np.ndarray:
     return out
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-
-
 def hermite_coeffs(f: StepFunction, max_degree: int = 41) -> np.ndarray:
     """Odd-degree coefficients (c_1, c_3, ...) up to max_degree, exact
     boundary-term sums.  Even coefficients vanish for odd f and are
@@ -95,8 +91,7 @@ def hermite_coeffs(f: StepFunction, max_degree: int = 41) -> np.ndarray:
     finite = np.isfinite(edges)
     h = np.zeros((edges.size, max_degree))  # rows: edges, cols: H_0..H_{max-1}
     h[finite] = hermite_values(edges[finite], max_degree - 1)
-    boundary = h * _phi(np.where(finite, edges, 0.0))[:, None]
-    boundary[~finite] = 0.0
+    boundary = h * gaussian_pdf(edges)[:, None]  # 0 at +-inf, where h is 0 too
     # c_n = sum_cells v * (B[lo, n-1] - B[hi, n-1]) / sqrt(n)
     diff = boundary[:-1] - boundary[1:]
     weighted = vals @ diff  # entry n-1 holds the unnormalized c_n

@@ -25,10 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from .core import GramConfig, StepFunction, validate_gram
+from .core import GramConfig, StepFunction, gaussian_pdf, validate_gram
 from .errors import DomainError
 
 _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every tolerance
+
+# Monte Carlo samples drawn per batch, bounding the memory of one call
+_MOMENT_MC_BATCH = 10**6
+_WITNESS_BATCH = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,6 @@ def probit(p) -> float:
         raise DomainError("probit requires 0 < p < 1")
     out = ndtri(p)
     return float(out) if out.ndim == 0 else out
-
-
-def equal_prob_grid(n: int) -> np.ndarray:
-    """Finite breakpoints a_1 < ... < a_{n-1} with Phi mass 1/n per cell."""
-    if n < 2:
-        raise DomainError("need at least 2 cells")
-    return ndtri(np.arange(1, n) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +126,9 @@ def binormal_rect(rho: float, x_lo, x_hi, y_lo, y_hi) -> float:
     """
     if x_lo > x_hi or y_lo > y_hi:
         raise DomainError("need x_lo <= x_hi and y_lo <= y_hi")
-    if rho >= 1.0:
-        lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
-        return float(max(0.0, ndtr(hi) - ndtr(lo)))
-    if rho <= -1.0:
-        lo, hi = max(x_lo, -y_hi), min(x_hi, -y_lo)
-        return float(max(0.0, ndtr(hi) - ndtr(lo)))
+    if abs(rho) >= 1.0:  # Y = X or Y = -X
+        y_lo, y_hi = (y_lo, y_hi) if rho > 0 else (-y_hi, -y_lo)
+        return float(max(0.0, ndtr(min(x_hi, y_hi)) - ndtr(max(x_lo, y_lo))))
     F = _bvn_cdf(np.array([[x_hi, x_hi], [x_lo, x_lo]]),
                  np.array([[y_hi, y_lo], [y_hi, y_lo]]), rho)
     return float(max(0.0, F[0, 0] - F[0, 1] - F[1, 0] + F[1, 1]))
@@ -147,19 +141,10 @@ def rect_lattice(edges_x: np.ndarray, edges_y: np.ndarray, rho: float) -> np.nda
     lattice by second differences, so an (n x m) table costs (n+1)(m+1)
     CDF evaluations.
     """
-    if abs(rho) >= 1.0:
-        # degenerate: Y = rho*X exactly
-        px = np.diff(ndtr(edges_x))
-        n, m = len(edges_x) - 1, len(edges_y) - 1
-        M = np.zeros((n, m))
-        ey = edges_y if rho > 0 else -edges_y[::-1]
-        for j in range(m):
-            lo, hi = ey[j], ey[j + 1]
-            for i in range(n):
-                l, h = max(edges_x[i], lo), min(edges_x[i + 1], hi)
-                if h > l:
-                    M[i, j if rho > 0 else m - 1 - j] = ndtr(h) - ndtr(l)
-        return M
+    if abs(rho) >= 1.0:  # degenerate: Y = rho*X exactly
+        return np.array([[binormal_rect(rho, x_lo, x_hi, y_lo, y_hi)
+                          for y_lo, y_hi in zip(edges_y[:-1], edges_y[1:])]
+                         for x_lo, x_hi in zip(edges_x[:-1], edges_x[1:])])
     F = _bvn_cdf(edges_x[:, None], edges_y[None, :], rho)
     M = F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
     np.maximum(M, 0.0, out=M)
@@ -182,9 +167,9 @@ def noise_operator(f: StepFunction, eta: float, x):
     x = np.asarray(x, dtype=float)
     if eta == 1.0:
         out = np.asarray(f(x))
-        return float(out) if out.ndim == 0 else out
-    tot = _noise_sum(f, eta, np.sqrt((1.0 - eta) * (1.0 + eta)), x)
-    return float(tot) if tot.ndim == 0 else tot
+    else:
+        out = _noise_sum(f, eta, np.sqrt((1.0 - eta) * (1.0 + eta)), x)
+    return float(out) if out.ndim == 0 else out
 
 
 def _noise_sum(f: StepFunction, eta: float, s: float, x: np.ndarray) -> np.ndarray:
@@ -207,18 +192,12 @@ def f2(f: StepFunction, rho: float) -> float:
     Computed as a signed double sum of exact rectangle probabilities over
     the step cells; rho = +-1 short-circuits to +-int f^2 phi.
     """
-    edges, vals = f.cells()
-    if rho >= 1.0 or rho <= -1.0:
-        mass = np.diff(ndtr(edges))
-        total = float(np.dot(vals * vals, mass))
+    if abs(rho) >= 1.0:
+        total = _symmetric_integral(f, 1.0, np.square)
         return total if rho > 0 else -total
+    edges, vals = f.cells()
     M = rect_lattice(edges, edges, rho)
     return float(vals @ M @ vals)
-
-
-def f2_selfenergy(f: StepFunction) -> float:
-    """int f^2 phi = F_2[f](1)."""
-    return f2(f, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +215,9 @@ def _panel_grid(edges: np.ndarray):
     return xs, ws
 
 
-def _gauss_pdf(x):
-    return np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
-
-
 _QEDGES = np.linspace(-_TAIL, _TAIL, 25)
 _QX, _QW = _panel_grid(_QEDGES)
-_QPHI = _gauss_pdf(_QX)
+_QPHI = gaussian_pdf(_QX)
 
 # U_eta f passes from one step value to the next over a width
 # sqrt(1-eta^2)/eta around 0 and each +-a_i/eta.  The fixed panels integrate
@@ -280,7 +255,7 @@ def _symmetric_integral(f: StepFunction, rho: float, g) -> float:
     edges = np.unique(np.concatenate([_QEDGES, splits, -splits]))
     xs, ws = _panel_grid(edges[np.abs(edges) <= _TAIL])
     u = _noise_sum(f, eta, s, xs)
-    return float(np.sum(ws * _gauss_pdf(xs) * g(u)))
+    return float(np.sum(ws * gaussian_pdf(xs) * g(u)))
 
 
 def f2l_symmetric(f: StepFunction, rho: float, ell: int) -> float:
@@ -328,6 +303,26 @@ def sat_prob_symmetric(f: StepFunction, k: int, rho: float) -> float:
 # Monte Carlo moments
 
 
+def _mc_estimate(draw, samples: int, batch: int) -> MomentEstimate:
+    """Mean and standard error of ``samples`` draws taken ``batch`` at a time;
+    ``draw(m)`` makes m draws and returns their values, where a draw it
+    leaves out counts as 0."""
+    if samples < 1:
+        raise DomainError("need at least one sample")
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        m = min(batch, samples - done)
+        x = draw(m)
+        total += float(x.sum())
+        total_sq += float(np.dot(x, x))
+        done += m
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    return MomentEstimate(mean, float(np.sqrt(var / samples)), samples)
+
+
 def _factor_psd(m: np.ndarray, tol: float) -> np.ndarray:
     try:
         return np.linalg.cholesky(m)
@@ -339,7 +334,7 @@ def _factor_psd(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def moment_mc(f: StepFunction, gram: GramConfig, samples: int = 10**6,
-              seed: int = 0, batch: int = 10**6) -> MomentEstimate:
+              seed: int = 0) -> MomentEstimate:
     """Monte Carlo estimate of F_k[f] at the pairwise biases in ``gram``.
 
     Factors B = L L^T, draws z ~ N(0, I), projects t = L z and averages
@@ -352,19 +347,11 @@ def moment_mc(f: StepFunction, gram: GramConfig, samples: int = 10**6,
     L = _factor_psd(gram.matrix, 1e-9)
     k = gram.order
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        t = rng.standard_normal((m, k)) @ L.T
-        prod = np.prod(f(t), axis=1)
-        total += float(prod.sum())
-        total_sq += float(np.dot(prod, prod))
-        done += m
-    mean = total / samples
-    var = max(0.0, total_sq / samples - mean * mean)
-    return MomentEstimate(mean, float(np.sqrt(var / samples)), samples)
+
+    def draw(m: int) -> np.ndarray:
+        return np.prod(f(rng.standard_normal((m, k)) @ L.T), axis=1)
+
+    return _mc_estimate(draw, samples, _MOMENT_MC_BATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +378,7 @@ def f4_witness_vectors(delta: float) -> np.ndarray:
 
 
 def f4_negative_witness(delta: float, eps: float, samples: int = 10**8,
-                        seed: int = 0, batch: int = 5 * 10**6) -> MomentEstimate:
+                        seed: int = 0) -> MomentEstimate:
     """Estimate E[x1 x2 x3 x4] under the interval rounding scheme.
 
     Rounding: draw u ~ N(0, I3); x_i = sign(v_i . u) when |v_i . u| lands in
@@ -405,18 +392,11 @@ def f4_negative_witness(delta: float, eps: float, samples: int = 10**8,
         raise DomainError("eps must be positive")
     v = f4_witness_vectors(delta)
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+
+    def draw(m: int) -> np.ndarray:
         t = rng.standard_normal((m, 3)) @ v.T
         a = np.abs(t)
         det = ((a >= eps) & (a < 1.5 * eps)).all(axis=1)
-        contrib = np.prod(np.sign(t[det]), axis=1)
-        total += float(contrib.sum())
-        total_sq += float(np.dot(contrib, contrib))
-        done += m
-    mean = total / samples
-    var = max(0.0, total_sq / samples - mean * mean)
-    return MomentEstimate(mean, float(np.sqrt(var / samples)), samples)
+        return np.prod(np.sign(t[det]), axis=1)
+
+    return _mc_estimate(draw, samples, _WITNESS_BATCH)

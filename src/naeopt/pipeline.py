@@ -19,8 +19,9 @@ with lit = +-(1-based variable index).  Vector file:
     <id> <x_1> ... <x_dim>                  dense row, or
     <id> s <i>:<s> <j>:<s> <k>:<s>          sparse row, coordinate value s/sqrt(3)
 
-Sparse rows carry exactly three signed coordinates (the gap-instance
-format); indices are 1-based in files.
+Sparse rows carry exactly three distinct signed coordinates (the
+gap-instance format); indices are 1-based in files.  Every id from 1 to
+num_vars has exactly one row.
 """
 
 from __future__ import annotations
@@ -37,21 +38,30 @@ from .errors import DomainError, StructuralError
 # instance parsing
 
 
+def _convert(kind, tokens: list[str], lineno: int, what: str) -> list:
+    """``kind`` applied to every token; a malformed token is a StructuralError."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError as err:
+        raise StructuralError(f"line {lineno}: malformed {what}: {err}") from err
+
+
 def parse_instance(text: str) -> NAEInstance:
     num_vars = None
     declared = None
     clauses = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if num_vars is not None:
                 raise StructuralError(f"line {lineno}: duplicate header")
             if len(parts) != 4 or parts[1] != "nae":
                 raise StructuralError(f"line {lineno}: expected 'p nae <vars> <clauses>'")
-            num_vars, declared = int(parts[2]), int(parts[3])
+            num_vars, declared = _convert(int, parts[2:], lineno, "header")
+            if min(num_vars, declared) < 0:
+                raise StructuralError(f"line {lineno}: header counts must be nonnegative")
             continue
         if num_vars is None:
             raise StructuralError(f"line {lineno}: clause before header")
@@ -59,7 +69,7 @@ def parse_instance(text: str) -> NAEInstance:
             weight = float(parts[0])
             k = int(parts[1])
             lits = [int(t) for t in parts[2:]]
-        except ValueError as err:
+        except (ValueError, IndexError) as err:
             raise StructuralError(f"line {lineno}: malformed clause: {err}") from err
         if len(lits) != k:
             raise StructuralError(f"line {lineno}: clause declares {k} literals, has {len(lits)}")
@@ -87,44 +97,68 @@ def format_instance(inst: NAEInstance, comment: str | None = None) -> str:
 _SQRT3 = math.sqrt(3.0)
 
 
-def parse_vectors(text: str) -> VectorAssignment:
+def read_vector_rows(text: str) -> tuple[int, int, dict]:
+    """(num_vars, dim, rows) of a vector file; ``rows[id]`` is a float array
+    for a dense row and three (0-based index, sign) pairs for a sparse one."""
     header = None
-    rows: dict[int, np.ndarray] = {}
+    rows: dict[int, np.ndarray | tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "v":
+            if header is not None:
+                raise StructuralError(f"line {lineno}: duplicate header")
             if len(parts) != 3:
                 raise StructuralError(f"line {lineno}: expected 'v <vars> <dim>'")
-            header = (int(parts[1]), int(parts[2]))
+            header = _convert(int, parts[1:], lineno, "header")
+            if min(header) < 1:
+                raise StructuralError(f"line {lineno}: header counts must be positive")
             continue
         if header is None:
             raise StructuralError(f"line {lineno}: vector row before header")
         n, dim = header
-        vid = int(parts[0])
+        sparse = len(parts) > 1 and parts[1] == "s"
+        try:  # spelled out for speed: gap-instance files have ~10^5 rows
+            vid = int(parts[0])
+            if sparse:
+                (i, s), (j, t), (k, u) = [tok.split(":") for tok in parts[2:]]
+                row = ((int(i) - 1, int(s)), (int(j) - 1, int(t)), (int(k) - 1, int(u)))
+            else:
+                row = np.array([float(x) for x in parts[1:]])
+        except ValueError as err:
+            raise StructuralError(f"line {lineno}: malformed row: {err}") from err
         if not 1 <= vid <= n:
             raise StructuralError(f"line {lineno}: variable id {vid} out of range")
-        if len(parts) > 1 and parts[1] == "s":
-            vec = np.zeros(dim)
-            for tok in parts[2:]:
-                idx, sgn = tok.split(":")
-                i, s = int(idx), int(sgn)
-                if not 1 <= i <= dim or s not in (-1, 1):
-                    raise StructuralError(f"line {lineno}: bad sparse token {tok!r}")
-                vec[i - 1] = s / _SQRT3
-        else:
-            vec = np.array([float(t) for t in parts[1:]])
-            if vec.size != dim:
-                raise StructuralError(f"line {lineno}: expected {dim} coordinates")
-        rows[vid] = vec
+        if vid in rows:
+            raise StructuralError(f"line {lineno}: duplicate variable id {vid}")
+        if sparse:
+            (i, s), (j, t), (k, u) = row
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim and i != j != k != i
+                    and s in (-1, 1) and t in (-1, 1) and u in (-1, 1)):
+                raise StructuralError(f"line {lineno}: a sparse row needs 3 distinct "
+                                      f"coordinates <i>:<+-1> with i in 1..{dim}")
+        elif row.size != dim:
+            raise StructuralError(f"line {lineno}: expected {dim} coordinates")
+        rows[vid] = row
     if header is None:
         raise StructuralError("missing 'v' header")
     n, dim = header
     if len(rows) != n:
         raise StructuralError(f"header declares {n} vectors, found {len(rows)}")
-    return VectorAssignment(np.vstack([rows[i] for i in range(1, n + 1)]))
+    return n, dim, rows
+
+
+def parse_vectors(text: str) -> VectorAssignment:
+    n, dim, rows = read_vector_rows(text)
+    vectors = np.zeros((n, dim))
+    for vid, row in rows.items():
+        if isinstance(row, tuple):
+            for i, s in row:
+                vectors[vid - 1, i] = s / _SQRT3
+        else:
+            vectors[vid - 1] = row
+    return VectorAssignment(vectors)
 
 
 def format_vectors(va: VectorAssignment, sparse_signs: dict[int, tuple] | None = None) -> str:
@@ -173,16 +207,21 @@ def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
     return sat / inst.total_weight
 
 
+def clause_arrays(inst: NAEInstance):
+    """Yield (literals (m, k), weights (m,)) for each clause size k, in order
+    of first appearance; one size's arrays at a time."""
+    by_size: dict[int, list[Clause]] = {}
+    for cl in inst.clauses:
+        by_size.setdefault(len(cl.literals), []).append(cl)
+    for cls in by_size.values():
+        yield np.array([c.literals for c in cls]), np.array([c.weight for c in cls])
+
+
 def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over rows of assignments, grouped by clause size."""
     assignments = np.atleast_2d(np.asarray(assignments))
     sat = np.zeros(assignments.shape[0])
-    by_size: dict[int, list[Clause]] = {}
-    for cl in inst.clauses:
-        by_size.setdefault(len(cl.literals), []).append(cl)
-    for k, cls in by_size.items():
-        lits = np.array([c.literals for c in cls])          # (m, k)
-        w = np.array([c.weight for c in cls])
+    for lits, w in clause_arrays(inst):
         vals = assignments[:, np.abs(lits) - 1] * np.sign(lits)  # (rows, m, k)
         ok = vals.max(axis=2) != vals.min(axis=2)
         sat += ok @ w

@@ -28,6 +28,11 @@ from .core import StepFunction
 from .errors import DomainError
 from .moments import sat_prob_symmetric
 
+# Nelder-Mead tolerances and iteration cap of every start
+_XATOL = 1e-10
+_FATOL = 1e-12
+_MAX_ITER = 2000
+
 
 @dataclass(frozen=True)
 class StepSearchConfig:
@@ -36,29 +41,29 @@ class StepSearchConfig:
     pm_one: bool = True
     restarts: int = 64
     seed: int = 0
-    xatol: float = 1e-10
-    fatol: float = 1e-12
-    max_iter: int = 2000
 
     def __post_init__(self):
-        ks = tuple(sorted(set(int(k) for k in self.clause_sizes)))
-        if not ks or min(ks) < 3:
-            raise DomainError("clause sizes must all be >= 3")
+        ks = _checked_sizes(sorted(set(int(k) for k in self.clause_sizes)))
         if self.steps < 1:
             raise DomainError("need at least one step")
         object.__setattr__(self, "clause_sizes", ks)
 
 
-def objective_alphaK(f: StepFunction, clause_sizes) -> float:
-    """min over k in K of the symmetric-configuration satisfaction probability."""
+def _checked_sizes(clause_sizes) -> tuple[int, ...]:
     ks = tuple(clause_sizes)
     if not ks or min(ks) < 3:
         raise DomainError("clause sizes must all be >= 3")
-    return min(sat_prob_symmetric(f, k, 1.0 - 4.0 / k) for k in ks)
+    return ks
+
+
+def objective_alphaK(f: StepFunction, clause_sizes) -> float:
+    """min over k in K of the symmetric-configuration satisfaction probability."""
+    return min(per_size_probs(f, clause_sizes).values())
 
 
 def per_size_probs(f: StepFunction, clause_sizes) -> dict[int, float]:
-    return {k: sat_prob_symmetric(f, k, 1.0 - 4.0 / k) for k in clause_sizes}
+    """p_f(k, 1 - 4/k) for every clause size k."""
+    return {k: sat_prob_symmetric(f, k, 1.0 - 4.0 / k) for k in _checked_sizes(clause_sizes)}
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +140,8 @@ def optimize_step(cfg: StepSearchConfig) -> StepSearchResult:
         if not cfg.pm_one:
             start[l:] = rng.uniform(-1.0, 1.0, size=l + 1)
         res = minimize(loss, start, method="Nelder-Mead",
-                       options={"xatol": cfg.xatol, "fatol": cfg.fatol,
-                                "maxiter": cfg.max_iter, "maxfev": cfg.max_iter})
+                       options={"xatol": _XATOL, "fatol": _FATOL,
+                                "maxiter": _MAX_ITER, "maxfev": _MAX_ITER})
         any_converged = any_converged or bool(res.success)
         if res.fun < best_val:
             best_val = res.fun
@@ -159,9 +164,7 @@ def breakpoint_sweep(f: StepFunction, positions, clause_sizes) -> list[dict]:
     with the terminal sign flipped; positions inside the existing
     breakpoint range are a domain error.
     """
-    ks = tuple(clause_sizes)
-    if not ks or min(ks) < 3:
-        raise DomainError("clause sizes must all be >= 3")
+    ks = _checked_sizes(clause_sizes)
     last = f.breakpoints[-1] if f.breakpoints else 0.0
     pos = np.asarray(positions, dtype=float)
     if np.any(pos <= last):
@@ -169,8 +172,5 @@ def breakpoint_sweep(f: StepFunction, positions, clause_sizes) -> list[dict]:
     rows = []
     for a_new in pos:
         g = StepFunction(f.breakpoints + (float(a_new),), f.values + (-f.values[-1],))
-        row = {"position": float(a_new)}
-        for k in ks:
-            row[k] = sat_prob_symmetric(g, k, 1.0 - 4.0 / k)
-        rows.append(row)
+        rows.append({"position": float(a_new), **per_size_probs(g, ks)})
     return rows

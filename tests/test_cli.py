@@ -1,12 +1,17 @@
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from naeopt.cli import main, parse_f_spec
+from naeopt.cli import _build_parser, main, parse_f_spec
 from naeopt import hardness
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(tmp_path, *argv):
@@ -159,3 +164,34 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert run(tmp_path, "round", "--instance", "nope.nae", "--vectors",
                    "nope.txt", "--f", "sign") == 2
+
+    def test_ratio_grid_too_small(self, tmp_path, capsys):
+        assert run(tmp_path, "ratio", "--problem", "maxcut", "--grid", "1",
+                   "--out", str(tmp_path / "q")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("stepopt", "--K", "x"),
+        ("stepopt", "--K", "3,,5"),
+        ("sweep", "--base", "sign", "--K", "3,5", "--range", "1:2"),
+        ("sweep", "--base", "sign", "--K", "3,5", "--range", "1:2:0"),
+        ("sweep", "--base", "sign", "--K", "3,x", "--range", "3:4:0.5"),
+    ])
+    def test_malformed_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _readme_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("naeopt ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 15
+    parser = _build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naeopt.core import (
+    Clause,
     GramConfig,
     GridFunction,
     StepFunction,
@@ -83,6 +84,24 @@ class TestGridFunction:
     def test_to_step_function_requires_odd(self):
         with pytest.raises(StructuralError):
             GridFunction((0.5, 0.6)).to_step_function()
+
+    def test_centroids_are_conditional_means(self):
+        from scipy.integrate import quad
+        from scipy.stats import norm
+        g = GridFunction((0.0,) * 6)
+        e = g.edges()
+        want = [6 * quad(lambda x: x * norm.pdf(x), lo, hi)[0] for lo, hi in zip(e[:-1], e[1:])]
+        got = g.centroids()
+        assert np.allclose(got, want, atol=1e-10)
+        assert np.all((got > e[:-1]) & (got < e[1:]))
+        assert np.allclose(got, -got[::-1], atol=1e-12)
+
+
+class TestClause:
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(StructuralError):
+            Clause(weight, (1, 2))
 
 
 # ---------------------------------------------------------------------------

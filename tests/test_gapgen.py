@@ -79,6 +79,14 @@ class TestGeneration:
         assert back.num_3clauses == small_gap.num_3clauses
         assert back.num_5clauses == small_gap.num_5clauses
 
+    @pytest.mark.parametrize("vectors", [
+        "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n",     # too few variables
+        "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n3 1 0 0 0 0 0\n",  # dense row
+    ])
+    def test_load_rejects_mismatched_vectors(self, vectors):
+        with pytest.raises(StructuralError):
+            G.load_gap("p nae 3 1\n1.0 3 1 2 3\n", vectors)
+
     def test_gram_of_vectors_is_valid(self, small_gap):
         from naeopt.core import GramConfig, validate_gram
         va = small_gap.vector_assignment()

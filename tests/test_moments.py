@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from naeopt.core import SIGN, GramConfig, StepFunction
+from naeopt.core import SIGN, GramConfig, StepFunction, equal_mass_edges
 from naeopt.errors import DomainError
 from naeopt import moments as M
 
@@ -56,20 +56,20 @@ class TestProbit:
 
 class TestEqualProbGrid:
     def test_small_cases(self):
-        assert np.allclose(M.equal_prob_grid(2), [0.0])
-        assert np.allclose(M.equal_prob_grid(4), [-0.6744897502, 0, 0.6744897502],
+        assert np.array_equal(equal_mass_edges(2), [-np.inf, 0.0, np.inf])
+        assert np.allclose(equal_mass_edges(4)[1:-1], [-0.6744897502, 0, 0.6744897502],
                            atol=1e-9)
-        assert np.allclose(M.equal_prob_grid(3), [-0.4307272993, 0.4307272993],
+        assert np.allclose(equal_mass_edges(3)[1:-1], [-0.4307272993, 0.4307272993],
                            atol=1e-9)
 
     def test_structure(self):
-        g = M.equal_prob_grid(17)
+        g = equal_mass_edges(17)[1:-1]
         assert np.all(np.diff(g) > 0)
         assert np.allclose(g, -g[::-1], atol=1e-12)
 
     def test_needs_two_cells(self):
         with pytest.raises(DomainError):
-            M.equal_prob_grid(1)
+            equal_mass_edges(1)
 
 
 class TestBinormalRect:
@@ -102,8 +102,8 @@ class TestBinormalRect:
             M.binormal_rect(0.0, 1.0, 0.0, 0.0, 1.0)
 
     def test_lattice_row_sums(self):
-        edges = np.concatenate([[-np.inf], M.equal_prob_grid(8), [np.inf]])
-        for rho in (-0.9, -0.3, 0.0, 0.7):
+        edges = equal_mass_edges(8)
+        for rho in (-1.0, -0.9, -0.3, 0.0, 0.7, 1.0):
             m = M.rect_lattice(edges, edges, rho)
             assert np.allclose(m.sum(axis=1), 1 / 8, atol=1e-12)
             assert np.allclose(m, m.T, atol=1e-13)
@@ -293,6 +293,19 @@ class TestMomentMC:
             M.moment_mc(SIGN, GramConfig([[1, 1, -1], [1, 1, 1], [-1, 1, 1]]),
                         samples=100, seed=0)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(DomainError):
+            M.moment_mc(SIGN, GramConfig(np.eye(2)), samples=samples)
+
+    def test_batches_pool_into_one_estimate(self):
+        # 7 draws in batches of 3; the draws not returned contribute 0
+        batches = iter([np.array([1.0, -1.0, 1.0]), np.array([1.0]), np.array([])])
+        est = M._mc_estimate(lambda m: next(batches), 7, 3)
+        assert est.samples == 7
+        assert est.value == pytest.approx(2 / 7, rel=1e-15)
+        assert est.std_error == pytest.approx(math.sqrt((4 / 7 - (2 / 7) ** 2) / 7), rel=1e-15)
+
 
 class TestF4NegativeWitness:
     def test_bias_closed_forms(self):
@@ -319,6 +332,11 @@ class TestF4NegativeWitness:
         # every all-determined draw contributes -1, so the mean is -P[hit]
         assert est.value <= 0.0
         assert est.samples == 4 * 10**6
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(DomainError):
+            M.f4_negative_witness(0.1, 0.2, samples=samples)
 
 
 class TestMomentEstimate:

@@ -44,6 +44,21 @@ class TestParseInstance:
         with pytest.raises(StructuralError):
             P.parse_instance("p nae 2 1\n1.0 2 1 -5\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("p nae x 1\n1.0 2 1 2\n", 1),        # non-numeric header
+        ("p nae 2 1.5\n1.0 2 1 2\n", 1),
+        ("p nae -1 0\n", 1),                   # negative counts
+        ("c\np nae 2 -1\n", 2),
+        ("p nae 2 1\nw 2 1 2\n", 2),          # non-numeric weight
+        ("p nae 2 1\n1.0 k 1 2\n", 2),
+        ("p nae 2 1\n1.0\n", 2),              # weight only
+        ("p nae 2 1\nnan 2 1 2\n", 2),        # non-finite weight
+        ("p nae 2 1\ninf 2 1 2\n", 2),
+    ])
+    def test_malformed_tokens_are_structural(self, text, line):
+        with pytest.raises(StructuralError, match=f"line {line}"):
+            P.parse_instance(text)
+
     @given(st.lists(st.tuples(st.floats(0.1, 9, allow_nan=False),
                               st.permutations(range(1, 6))),
                     min_size=1, max_size=6))
@@ -78,6 +93,33 @@ class TestVectorFiles:
             P.parse_vectors("v 2 2\n1 1.0 0.0\n")
         with pytest.raises(StructuralError):
             P.parse_vectors("v 1 2\n1 0.5 0.5 0.5\n")
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(StructuralError, match="line 4: duplicate variable id 2"):
+            P.parse_vectors("v 2 1\n1 1.0\n2 1.0\n2 -1.0\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("v x 2\n1 1.0 0.0\n", 1),            # non-numeric header
+        ("v 1 -2\n", 1),                       # negative count
+        ("v 1 2\nv 1 2\n1 1.0 0.0\n", 2),    # second header
+        ("v 1 2\none 1.0 0.0\n", 2),          # non-numeric id
+        ("v 1 2\n1 1.0 zero\n", 2),           # non-numeric coordinate
+        ("v 1 3\n1 s 1\n", 2),                # sparse token without a sign
+        ("v 1 3\n1 s 1:x 2:1 3:1\n", 2),
+        ("v 1 3\n1 s 1:1 2:1 4:1\n", 2),      # index beyond dim
+        ("v 1 3\n1 s 1:1 2:1\n", 2),          # two coordinates
+        ("v 1 4\n1 s 1:1 2:1 3:1 4:1\n", 2),  # four coordinates
+        ("v 1 3\n1 s 1:1 2:2 3:1\n", 2),      # sign not +-1
+        ("v 1 3\n1 s 1:1 1:-1 2:1\n", 2),     # repeated coordinate
+    ])
+    def test_malformed_tokens_are_structural(self, text, line):
+        with pytest.raises(StructuralError, match=f"line {line}"):
+            P.parse_vectors(text)
+
+    @pytest.mark.parametrize("text", ["v 0 2\n", "v 1 2\n1 nan 0.0\n"])
+    def test_degenerate_files_are_structural(self, text):
+        with pytest.raises(StructuralError):
+            P.parse_vectors(text)
 
 
 def _symmetric_vectors(k: int, rho: float) -> VectorAssignment:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, fredholm, gapgen, hardness, hermite, pipeline, stepopt
 from .core import GridFunction, HardDistribution, StepFunction
-from .errors import NaeoptError
+from .errors import DomainError, NaeoptError
 
 
 def _sig9(x):
@@ -98,9 +98,12 @@ def parse_f_spec(spec: str) -> StepFunction:
     if spec == "sign":
         return StepFunction((), (1.0,))
     if spec.startswith("slin:"):
-        s = float(spec.split(":", 1)[1])
-        if s <= 0:
-            raise NaeoptError("s-linear slope must be positive")
+        try:
+            s = float(spec.split(":", 1)[1])
+        except ValueError:
+            s = math.nan
+        if not (math.isfinite(s) and s > 0):
+            raise DomainError(f"s-linear slope must be a positive finite number, got {spec!r}")
         m = 400
         edges = np.linspace(0.0, 1.0 / s, m + 1)
         values = np.clip(s * (edges[:-1] + edges[1:]) / 2.0, -1.0, 1.0)

@@ -97,9 +97,11 @@ class StepFunction:
             raise StructuralError(
                 f"need len(values) == len(breakpoints)+1, got {b.size} vs {a.size}"
             )
+        if not np.all(np.isfinite(a)):
+            raise StructuralError("breakpoints must be finite")
         if a.size and (np.any(a <= 0) or np.any(np.diff(a) <= 0)):
             raise StructuralError("breakpoints must be strictly increasing and positive")
-        if np.any(np.abs(b) > 1 + 1e-15):
+        if np.any(np.isnan(b)) or np.any(np.abs(b) > 1 + 1e-15):
             raise StructuralError("step values must lie in [-1, 1]")
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in a))
         object.__setattr__(self, "values", tuple(float(x) for x in b))
@@ -143,7 +145,7 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float)
         if v.size < 2 or v.size % 2:
             raise StructuralError("GridFunction needs an even number of cells >= 2")
-        if np.any(np.abs(v) > 1 + 1e-12):
+        if np.any(np.isnan(v)) or np.any(np.abs(v) > 1 + 1e-12):
             raise StructuralError("grid values must lie in [-1, 1]")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 

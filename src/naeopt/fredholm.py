@@ -17,6 +17,16 @@ as a separate candidate), with an exhaustive scan as fallback.
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
 
+The reduced kernel of one correlation rho comes from Mehler's formula
+phi_rho(x,y) = phi(x) phi(y) sum_k rho^k H_k(x) H_k(y): with U[i, j] the
+integral of H_{2j+1} phi over left-half cell i (exact boundary terms, one
+table per N, grown to the degree a call needs), R(rho) = 2N U diag(rho^k) U^T
+over the odd degrees k <= K(rho) = ceil(log(1e-17) / log|rho|).  Since
+sum_k U[i, k]^2 <= 1/N, the dropped tail moves no entry by more than
+2|rho|^K.  Where K(rho) would exceed 1000 (|rho| above about 0.96) the
+kernel falls back to the Owen's-T cell lattice of moments.rect_lattice,
+which also serves build_kernel_matrix and is the test oracle.
+
 Per-distribution kernels:
 
 * MAX CUT, biases {rho (w.p. alpha), 1}:  lambda1 = (1-alpha)/alpha, one
@@ -49,7 +59,7 @@ import numpy as np
 
 from .core import GridFunction, HardDistribution, equal_mass_edges, golden_section_min
 from .errors import DomainError, StructuralError
-from . import moments
+from . import hermite, moments
 
 DEFAULT_N = 600
 CURVE_N = 100
@@ -137,10 +147,45 @@ def _odd_reduced(m: np.ndarray) -> np.ndarray:
     return n * (m[:half, :half] - m[:half, ::-1][:, :half])
 
 
+# The Mehler series is cut after the odd degrees k <= K(rho) with
+# |rho|^K <= _MEHLER_TAIL; past _MEHLER_MAX_DEGREE (|rho| above about 0.96)
+# the Owen's-T lattice is used instead.
+_MEHLER_TAIL = 1e-17
+_MEHLER_MAX_DEGREE = 1000
+
+# n -> U with U[i, j] = int_{cell i} H_{2j+1} phi over the left-half cells,
+# grown to more columns when a call needs them
+_CELL_COEFFS: dict[int, np.ndarray] = {}
+
+
+def _cell_coeffs(n: int, terms: int) -> np.ndarray:
+    """The first ``terms`` odd-degree columns of the cell table of n cells."""
+    u = _CELL_COEFFS.get(n)
+    if u is None or u.shape[1] < terms:
+        diff = hermite.cell_boundary_terms(equal_mass_edges(n)[: n // 2 + 1], 2 * terms - 1)
+        u = diff[:, 0::2] / np.sqrt(np.arange(1, 2 * terms, 2))
+        _CELL_COEFFS[n] = u
+    return u[:, :terms]
+
+
 @lru_cache(maxsize=96)
 def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
-    e = equal_mass_edges(n)
-    return _odd_reduced(moments.rect_lattice(e, e, rho_key))
+    """_odd_reduced of the cell-pair masses at correlation rho_key.
+
+    Mehler's formula phi_rho(x, y) = phi(x) phi(y) sum_k rho^k H_k(x) H_k(y)
+    gives R = 2N U diag(rho^k) U^T over the odd degrees k.  Bessel's
+    inequality bounds sum_k U[i, k]^2 by the cell mass 1/N, so the terms
+    past K(rho) change no entry by more than 2 |rho|^K.
+    """
+    if rho_key == 0.0:
+        return np.zeros((n // 2, n // 2))
+    degree = math.ceil(math.log(_MEHLER_TAIL) / math.log(abs(rho_key)))
+    if degree > _MEHLER_MAX_DEGREE:
+        e = equal_mass_edges(n)
+        return _odd_reduced(moments.rect_lattice(e, e, rho_key))
+    u = _cell_coeffs(n, (degree + 1) // 2)
+    k = np.arange(1, 2 * u.shape[1], 2)
+    return (2.0 * n * rho_key ** k * u) @ u.T
 
 
 def build_kernel_matrix(spec: KernelSpec, n: int) -> np.ndarray:
@@ -279,6 +324,28 @@ def _vertex_solution(dist: HardDistribution, n: int) -> FredholmSolution:
     return _best_solution([(n // 2, _sign_values(n)), (0, np.zeros(n))], dist, n, True)
 
 
+def _smallest_consistent_clamp(ok, half: int, hint: int | None) -> int:
+    """Smallest i_a in [1, half] with ok(i_a), by bisection.
+
+    Too few clamps give unbounded or oscillating solutions, and ok(half)
+    (the sign function) always holds; the bisection trusts ok to stay true
+    once it holds.  ``hint`` is returned when it is that boundary.
+    """
+    if hint is not None and 1 <= hint <= half and ok(hint) \
+            and (hint == 1 or not ok(hint - 1)):
+        return hint
+    lo, hi = 1, half
+    if ok(lo):
+        hi = lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
                           hint: int | None = None) -> FredholmSolution:
     """Best discrete rounding function for one hard distribution.
@@ -321,23 +388,9 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
             f = get(i_a)
             return f is not None and _consistent(f, i_a, n)
 
-        # smallest consistent clamp in [1, half] (too few clamps give
-        # unbounded or oscillating solutions); i_a = 0 is the homogeneous
-        # f = 0 solution and is treated as a standalone candidate below
-        if hint is not None and 1 <= hint <= half and ok(hint) \
-                and (hint == 1 or not ok(hint - 1)):
-            i_star = hint
-        else:
-            lo, hi = 1, half
-            if ok(lo):
-                hi = lo
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if ok(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            i_star = hi
+        # i_a = 0 is the homogeneous f = 0 solution and is treated as a
+        # standalone candidate below
+        i_star = _smallest_consistent_clamp(ok, half, hint)
         pool = sorted({0, i_star, min(i_star + 1, half), min(i_star + 2, half), half})
         cands = [(i_a, get(i_a)) for i_a in pool if ok(i_a)]
         if not cands:

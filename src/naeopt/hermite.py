@@ -83,17 +83,27 @@ def hermite_values(x, max_degree: int) -> np.ndarray:
     return out
 
 
+def cell_boundary_terms(edges: np.ndarray, max_degree: int) -> np.ndarray:
+    """Unnormalized Hermite integrals of the cells between consecutive edges.
+
+    Entry (i, n-1) is B_{n-1}(edges[i]) - B_{n-1}(edges[i+1]) with
+    B_m = H_m phi, which equals sqrt(n) int_{cell i} H_n phi, for
+    n = 1..max_degree.  Edges may be +-inf, where B vanishes.
+    """
+    finite = np.isfinite(edges)
+    h = np.zeros((edges.size, max_degree))  # rows: edges, cols: H_0..H_{max-1}
+    h[finite] = hermite_values(edges[finite], max_degree - 1)
+    boundary = h * gaussian_pdf(edges)[:, None]  # 0 at +-inf, where h is 0 too
+    return boundary[:-1] - boundary[1:]
+
+
 def hermite_coeffs(f: StepFunction, max_degree: int = 41) -> np.ndarray:
     """Odd-degree coefficients (c_1, c_3, ...) up to max_degree, exact
     boundary-term sums.  Even coefficients vanish for odd f and are
     asserted to below 1e-10 before being dropped."""
     edges, vals = f.cells()
-    finite = np.isfinite(edges)
-    h = np.zeros((edges.size, max_degree))  # rows: edges, cols: H_0..H_{max-1}
-    h[finite] = hermite_values(edges[finite], max_degree - 1)
-    boundary = h * gaussian_pdf(edges)[:, None]  # 0 at +-inf, where h is 0 too
     # c_n = sum_cells v * (B[lo, n-1] - B[hi, n-1]) / sqrt(n)
-    diff = boundary[:-1] - boundary[1:]
+    diff = cell_boundary_terms(edges, max_degree)
     weighted = vals @ diff  # entry n-1 holds the unnormalized c_n
     c = weighted / np.sqrt(np.arange(1, max_degree + 1))
     even = c[1::2]

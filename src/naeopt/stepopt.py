@@ -46,6 +46,8 @@ class StepSearchConfig:
         ks = _checked_sizes(sorted(set(int(k) for k in self.clause_sizes)))
         if self.steps < 1:
             raise DomainError("need at least one step")
+        if self.restarts < 1:
+            raise DomainError("need at least one restart")
         object.__setattr__(self, "clause_sizes", ks)
 
 

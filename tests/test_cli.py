@@ -10,6 +10,7 @@ import pytest
 
 from naeopt.cli import _build_parser, main, parse_f_spec
 from naeopt import hardness
+from naeopt.errors import DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,6 +37,12 @@ class TestFSpec:
     def test_inline_json(self):
         f = parse_f_spec('{"a": [2.0], "b": [-1, 1]}')
         assert f.breakpoints == (2.0,) and f.values == (-1.0, 1.0)
+
+    @pytest.mark.parametrize("spec", ["slin:nan", "slin:inf", "slin:-inf", "slin:0",
+                                      "slin:abc"])
+    def test_slinear_needs_positive_finite_slope(self, spec):
+        with pytest.raises(DomainError):
+            parse_f_spec(spec)
 
     def test_file(self, tmp_path):
         p = tmp_path / "f.json"
@@ -168,6 +175,15 @@ class TestExitCodes:
     def test_ratio_grid_too_small(self, tmp_path, capsys):
         assert run(tmp_path, "ratio", "--problem", "maxcut", "--grid", "1",
                    "--out", str(tmp_path / "q")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--base", "slin:nan", "--K", "3,5", "--range", "3:4:0.5"),
+        ("sweep", "--base", "slin:inf", "--K", "3,5", "--range", "3:4:0.5"),
+        ("stepopt", "--K", "3,5", "--restarts", "0"),
+    ])
+    def test_domain_errors_exit_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,11 @@ class TestStepFunction:
             StepFunction((1.0,), (1.5, -1))           # out of range
         with pytest.raises(StructuralError):
             StepFunction((1.0,), (1.0,))              # length mismatch
+        for a in (math.nan, math.inf):
+            with pytest.raises(StructuralError):
+                StepFunction((0.5, a), (1, -1, 1))    # non-finite breakpoint
+        with pytest.raises(StructuralError):
+            StepFunction((1.0,), (math.nan, 1))       # NaN value
 
     def test_right_closed_convention(self):
         f = StepFunction((1.0, 2.0), (0.25, -0.5, 1.0))
@@ -65,6 +72,8 @@ class TestGridFunction:
             GridFunction((0.1, 0.2, 0.3))   # odd cell count
         with pytest.raises(StructuralError):
             GridFunction((1.5, -1.5))       # out of range
+        with pytest.raises(StructuralError):
+            GridFunction((math.nan, 0.5))   # NaN value
 
     def test_edges_antisymmetric(self):
         g = GridFunction((-1.0, -0.5, 0.5, 1.0))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from naeopt.core import GridFunction, HardDistribution, StepFunction
+from naeopt.core import GridFunction, HardDistribution, StepFunction, equal_mass_edges
 from naeopt.errors import DomainError
 from naeopt import fredholm as F
 from naeopt import moments as M
@@ -76,6 +77,56 @@ class TestKernelMatrix:
         spec = F.KernelSpec(1.0, ((0.5, -0.4), (2.0, 0.2)))
         m = F.build_kernel_matrix(spec, 4)
         assert abs(m.sum() - 2.5) < 1e-10
+
+
+def _owens_t_reduced(n, rho):
+    return F._odd_reduced(F.build_kernel_matrix(F.KernelSpec(1.0, ((1.0, rho),)), n))
+
+
+class TestReducedKernel:
+    """The Mehler-series kernel against the Owen's-T lattice it replaced."""
+
+    @pytest.mark.parametrize("n", [8, 100, 400])
+    @pytest.mark.parametrize("rho", [-0.95, -0.742, -1.0 / 3.0, -1e-6, 0.0, 0.5])
+    def test_matches_owens_t(self, n, rho):
+        R = F._reduced_kernel(n, rho)
+        assert R.shape == (n // 2, n // 2)
+        assert np.max(np.abs(R - _owens_t_reduced(n, rho))) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [-0.97, -0.999, 0.99])
+    def test_owens_t_beyond_the_cap(self, rho):
+        degree = math.ceil(math.log(F._MEHLER_TAIL) / math.log(abs(rho)))
+        assert degree > F._MEHLER_MAX_DEGREE
+        assert np.array_equal(F._reduced_kernel(100, rho), _owens_t_reduced(100, rho))
+
+    def test_entries_against_quadrature(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        n, rho = 600, -0.742
+        e = equal_mass_edges(n)
+        r = mp.mpf(rho)
+        s = mp.sqrt(1 - r * r)
+
+        def mass(i, l):  # P(X in cell i, Y in cell l), inner integral in closed form
+            a, b, c, d = (mp.mpf(float(v)) for v in (e[i], e[i + 1], e[l], e[l + 1]))
+            return mp.quad(lambda x: mp.npdf(x) * (mp.ncdf((d - r * x) / s)
+                                                   - mp.ncdf((c - r * x) / s)), [a, b])
+
+        R = F._reduced_kernel(n, rho)
+        for i, l in ((10, 250), (150, 200), (299, 299)):
+            want = n * (mass(i, l) - mass(i, n - 1 - l))
+            assert abs(R[i, l] - float(want)) <= 1e-15
+
+    def test_table_grows_on_demand(self):
+        n = 14  # a cell count no other test uses
+        F._reduced_kernel(n, -0.1)   # K = 18: odd degrees 1..17
+        small = F._CELL_COEFFS[n]
+        assert small.shape == (n // 2, 9)
+        F._reduced_kernel(n, -0.9)   # K = 372: odd degrees 1..371
+        assert F._CELL_COEFFS[n].shape == (n // 2, 186)
+        # growing leaves the columns already there bit-identical, so a
+        # kernel does not depend on which correlations came before it
+        assert np.array_equal(F._CELL_COEFFS[n][:, :9], small)
 
 
 class TestSolveDiscreteFredholm:
@@ -171,6 +222,29 @@ class TestOptimalStepFunction:
     def test_odd_cell_count_rejected(self):
         with pytest.raises(DomainError):
             F.optimal_step_function(HARD_NAE3, 101)
+
+
+class TestClampSearch:
+    @given(st.sampled_from([("maxcut", "clamped"), ("nae3", "clamped"), ("nae3", "one")]),
+           st.floats(0.01, 0.99), st.floats(-0.99, 0.0),
+           st.one_of(st.none(), st.integers(1, 50)))
+    @settings(max_examples=60, deadline=None)
+    def test_bisection_finds_smallest_consistent_clamp(self, case, alpha, rho, hint):
+        problem, variant = case
+        n, half = 100, 50
+        spec = F.kernel_spec(HardDistribution(problem, alpha, rho, variant))
+        R = F._combined_reduced(spec, n)
+        lam = 1.0 / spec.lambda1
+
+        def ok(i_a):
+            try:
+                return F._consistent(F._solve_half(R, lam, i_a, n), i_a, n)
+            except np.linalg.LinAlgError:
+                return False
+
+        exhaustive = [i_a for i_a in range(1, half + 1) if ok(i_a)]
+        assert exhaustive and exhaustive[-1] == half
+        assert F._smallest_consistent_clamp(ok, half, hint) == exhaustive[0]
 
 
 class TestSoundness:

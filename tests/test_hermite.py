@@ -63,6 +63,18 @@ class TestHermiteCoeffs:
         c = H.hermite_coeffs(SIGN, 9)
         assert abs(c[0] - math.sqrt(2 / math.pi)) < 1e-14
 
+    def test_arithmetic_unchanged(self):
+        # the boundary-term sum written out as hermite_coeffs computed it
+        # before cell_boundary_terms was split out: equal bit for bit
+        f = StepFunction((0.4, 1.1, 2.3), (0.2, -0.7, 0.9, 1.0))
+        edges, vals = f.cells()
+        finite = np.isfinite(edges)
+        h = np.zeros((edges.size, 41))
+        h[finite] = H.hermite_values(edges[finite], 40)
+        boundary = h * (np.exp(-edges * edges / 2.0) / np.sqrt(2.0 * np.pi))[:, None]
+        c = (vals @ (boundary[:-1] - boundary[1:])) / np.sqrt(np.arange(1, 42))
+        assert np.array_equal(H.hermite_coeffs(f, 41), c[0::2])
+
     def test_against_quadrature(self, rng):
         # adaptive quadrature with panels aligned to the jump points
         from scipy.integrate import quad

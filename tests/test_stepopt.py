@@ -56,6 +56,11 @@ class TestOptimizeStep:
         r2 = S.optimize_step(cfg)
         assert r1.f == r2.f and r1.objective == r2.objective
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(DomainError):
+            S.StepSearchConfig((3, 5), restarts=restarts)
+
     def test_pm_one_single_step_is_sign(self):
         res = S.optimize_step(S.StepSearchConfig((3, 5), steps=1, pm_one=True))
         assert res.f.breakpoints == () and res.f.values == (1.0,)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, fredholm, gapgen, hardness, hermite, pipeline, stepopt
 from .core import GridFunction, HardDistribution, StepFunction
-from .errors import DomainError, NaeoptError
+from .errors import DomainError, NaeoptError, StructuralError
 
 
 def _sig9(x):
@@ -108,12 +108,15 @@ def parse_f_spec(spec: str) -> StepFunction:
         edges = np.linspace(0.0, 1.0 / s, m + 1)
         values = np.clip(s * (edges[:-1] + edges[1:]) / 2.0, -1.0, 1.0)
         return StepFunction(tuple(edges[1:]), tuple(values) + (1.0,))
-    if spec.lstrip().startswith("{"):
-        payload = json.loads(spec)
-    else:
-        with open(spec) as fh:
-            payload = json.load(fh)
-    return StepFunction(tuple(payload["a"]), tuple(payload["b"]))
+    try:
+        if spec.lstrip().startswith("{"):
+            payload = json.loads(spec)
+        else:
+            with open(spec) as fh:
+                payload = json.load(fh)
+        return StepFunction(tuple(payload["a"]), tuple(payload["b"]))
+    except (KeyError, TypeError, ValueError) as err:
+        raise StructuralError(f"f spec needs numeric lists 'a' and 'b': {err!r}") from None
 
 
 def _f_spec_dict(f: StepFunction) -> dict:

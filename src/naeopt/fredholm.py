@@ -140,9 +140,10 @@ def _odd_reduced(m: np.ndarray) -> np.ndarray:
 
     For odd f, sum_l N Mhat[i,l] f_l = sum_{l<N/2} R[i,l] f_l, and
     F_2[f](rho) = (2/N) f_half^T R f_half: one matrix serves both the
-    linear system and the exact discrete noise stability.
+    linear system and the exact discrete noise stability.  Only the first
+    N/2 rows of Mhat are read, so m may hold just those.
     """
-    n = m.shape[0]
+    n = m.shape[1]
     half = n // 2
     return n * (m[:half, :half] - m[:half, ::-1][:, :half])
 
@@ -182,7 +183,7 @@ def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
     degree = math.ceil(math.log(_MEHLER_TAIL) / math.log(abs(rho_key)))
     if degree > _MEHLER_MAX_DEGREE:
         e = equal_mass_edges(n)
-        return _odd_reduced(moments.rect_lattice(e, e, rho_key))
+        return _odd_reduced(moments.rect_lattice(e[: n // 2 + 1], e, rho_key))
     u = _cell_coeffs(n, (degree + 1) // 2)
     k = np.arange(1, 2 * u.shape[1], 2)
     return (2.0 * n * rho_key ** k * u) @ u.T

@@ -91,10 +91,10 @@ def cell_boundary_terms(edges: np.ndarray, max_degree: int) -> np.ndarray:
     n = 1..max_degree.  Edges may be +-inf, where B vanishes.
     """
     finite = np.isfinite(edges)
-    h = np.zeros((edges.size, max_degree))  # rows: edges, cols: H_0..H_{max-1}
-    h[finite] = hermite_values(edges[finite], max_degree - 1)
-    boundary = h * gaussian_pdf(edges)[:, None]  # 0 at +-inf, where h is 0 too
-    return boundary[:-1] - boundary[1:]
+    b = np.zeros((edges.size, max_degree))  # rows: edges, cols: H_0..H_{max-1}
+    b[finite] = hermite_values(edges[finite], max_degree - 1)
+    b *= gaussian_pdf(edges)[:, None]  # in place: B_m; 0 at +-inf, where H is 0 too
+    return b[:-1] - b[1:]
 
 
 def hermite_coeffs(f: StepFunction, max_degree: int = 41) -> np.ndarray:

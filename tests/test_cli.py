@@ -10,7 +10,7 @@ import pytest
 
 from naeopt.cli import _build_parser, main, parse_f_spec
 from naeopt import hardness
-from naeopt.errors import DomainError
+from naeopt.errors import DomainError, StructuralError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,6 +42,13 @@ class TestFSpec:
                                       "slin:abc"])
     def test_slinear_needs_positive_finite_slope(self, spec):
         with pytest.raises(DomainError):
+            parse_f_spec(spec)
+
+    @pytest.mark.parametrize("spec", ['{"a": [1.0]}', '{"a": [1.0], "b": [1',
+                                      '{"a": "x", "b": [1, 1]}', '{"a": 2, "b": [1, 1]}',
+                                      '{"a": [], "b": "x"}'])
+    def test_malformed_json_is_structural(self, spec):
+        with pytest.raises(StructuralError):
             parse_f_spec(spec)
 
     def test_file(self, tmp_path):
@@ -181,8 +188,9 @@ class TestExitCodes:
         ("sweep", "--base", "slin:nan", "--K", "3,5", "--range", "3:4:0.5"),
         ("sweep", "--base", "slin:inf", "--K", "3,5", "--range", "3:4:0.5"),
         ("stepopt", "--K", "3,5", "--restarts", "0"),
+        ("sweep", "--base", '{"a": [1.0]}', "--K", "3,5", "--range", "3:4:0.5"),
     ])
-    def test_domain_errors_exit_2(self, tmp_path, capsys, argv):
+    def test_bad_values_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 

@@ -148,11 +148,9 @@ def _odd_reduced(m: np.ndarray) -> np.ndarray:
     return n * (m[:half, :half] - m[:half, ::-1][:, :half])
 
 
-# The Mehler series is cut after the odd degrees k <= K(rho) with
-# |rho|^K <= _MEHLER_TAIL; past _MEHLER_MAX_DEGREE (|rho| above about 0.96)
-# the Owen's-T lattice is used instead.
+# K(rho) is the smallest K with |rho|^K <= _MEHLER_TAIL
 _MEHLER_TAIL = 1e-17
-_MEHLER_MAX_DEGREE = 1000
+_MEHLER_MAX_DEGREE = 1000  # K -> inf as |rho| -> 1; past it (|rho| > ~0.96) Owen's T serves
 
 # n -> U with U[i, j] = int_{cell i} H_{2j+1} phi over the left-half cells,
 # grown to more columns when a call needs them
@@ -171,13 +169,9 @@ def _cell_coeffs(n: int, terms: int) -> np.ndarray:
 
 @lru_cache(maxsize=96)
 def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
-    """_odd_reduced of the cell-pair masses at correlation rho_key.
-
-    Mehler's formula phi_rho(x, y) = phi(x) phi(y) sum_k rho^k H_k(x) H_k(y)
-    gives R = 2N U diag(rho^k) U^T over the odd degrees k.  Bessel's
-    inequality bounds sum_k U[i, k]^2 by the cell mass 1/N, so the terms
-    past K(rho) change no entry by more than 2 |rho|^K.
-    """
+    """_odd_reduced of the cell-pair masses at correlation rho_key: the
+    Mehler series R = 2N U diag(rho^k) U^T truncated at K(rho) (module
+    docstring), or the Owen's-T lattice past _MEHLER_MAX_DEGREE."""
     if rho_key == 0.0:
         return np.zeros((n // 2, n // 2))
     degree = math.ceil(math.log(_MEHLER_TAIL) / math.log(abs(rho_key)))

@@ -101,21 +101,21 @@ class TestReducedKernel:
 
     def test_entries_against_quadrature(self):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
         n, rho = 600, -0.742
         e = equal_mass_edges(n)
-        r = mp.mpf(rho)
-        s = mp.sqrt(1 - r * r)
-
-        def mass(i, l):  # P(X in cell i, Y in cell l), inner integral in closed form
-            a, b, c, d = (mp.mpf(float(v)) for v in (e[i], e[i + 1], e[l], e[l + 1]))
-            return mp.quad(lambda x: mp.npdf(x) * (mp.ncdf((d - r * x) / s)
-                                                   - mp.ncdf((c - r * x) / s)), [a, b])
-
         R = F._reduced_kernel(n, rho)
-        for i, l in ((10, 250), (150, 200), (299, 299)):
-            want = n * (mass(i, l) - mass(i, n - 1 - l))
-            assert abs(R[i, l] - float(want)) <= 1e-15
+        with mp.workdps(30):
+            r = mp.mpf(rho)
+            s = mp.sqrt(1 - r * r)
+
+            def mass(i, l):  # P(X in cell i, Y in cell l), inner integral in closed form
+                a, b, c, d = (mp.mpf(float(v)) for v in (e[i], e[i + 1], e[l], e[l + 1]))
+                return mp.quad(lambda x: mp.npdf(x) * (mp.ncdf((d - r * x) / s)
+                                                       - mp.ncdf((c - r * x) / s)), [a, b])
+
+            for i, l in ((10, 250), (150, 200), (299, 299)):
+                want = n * (mass(i, l) - mass(i, n - 1 - l))
+                assert abs(R[i, l] - float(want)) <= 1e-15
 
     def test_table_grows_on_demand(self):
         n = 14  # a cell count no other test uses

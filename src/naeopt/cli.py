@@ -283,7 +283,8 @@ def cmd_witness(args) -> None:
     z99 = 2.3263478740408408  # one-sided 99% normal quantile
     run.write_json("_witness.json", {
         "delta": args.delta, "eps": args.eps, "samples": args.samples,
-        "seed": args.seed, "estimate": est.value, "std_error": est.std_error,
+        "determined": est.determined, "seed": args.seed,
+        "estimate": est.value, "std_error": est.std_error,
         "upper_conf_99": est.value + z99 * est.std_error,
         "bias_first_row": gram[0, 1], "bias_petals": gram[1, 2],
         "negative_at_99": est.value + z99 * est.std_error < 0,

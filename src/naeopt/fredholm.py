@@ -11,8 +11,8 @@ N equal-Gaussian-mass cells turns it into the dense linear system
 weighted kernel matrix scaled by N, and g collecting the clamped +-1
 cells.  The index i_a of the last clamped cell is found by binary search
 on boundedness of the solved interior (empirically monotone in i_a for
-i_a >= 1; i_a = 0 always yields the homogeneous solution f = 0 and is kept
-as a separate candidate), with an exhaustive scan as fallback.
+i_a >= 1); the zero function (i_a = 0, the homogeneous solution) and the
+sign function (i_a = N/2) are the other two candidates.
 
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
@@ -206,9 +206,9 @@ def _solve_half(R: np.ndarray, lam: float, i_a: int, n: int) -> np.ndarray:
     f = np.empty(n)
     f[:i_a] = -1.0
     if i_a < half:
-        idx = np.arange(i_a, half)
-        sys = np.eye(half - i_a) + lam * R[np.ix_(idx, idx)]
-        g = lam * R[idx, :i_a].sum(axis=1)
+        sys = lam * R[i_a:half, i_a:half]
+        sys.flat[:: half - i_a + 1] += 1.0
+        g = lam * R[i_a:half, :i_a].sum(axis=1)
         f[i_a:half] = np.linalg.solve(sys, g)
     f[half:] = -f[:half][::-1]
     return f
@@ -304,19 +304,19 @@ def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: in
     return float(np.linalg.norm(r[i_a:half]))
 
 
-def _best_solution(cands, dist: HardDistribution, n: int, consistent: bool,
+def _best_solution(cands, dist: HardDistribution, n: int,
                    R: np.ndarray | None = None, lam: float = math.inf) -> FredholmSolution:
     """The highest-soundness (i_a, f) candidate; the first one on ties."""
     s, i_a, f = max(((_soundness_values(f, dist, n), i_a, f) for i_a, f in cands),
                     key=lambda t: t[0])
     return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
                             _interior_residual(f, R, lam, i_a, n), float(s),
-                            completeness(dist), consistent, dist)
+                            completeness(dist), True, dist)
 
 
 def _vertex_solution(dist: HardDistribution, n: int) -> FredholmSolution:
     """Best of {sign, 0} by true soundness, for the degenerate corners."""
-    return _best_solution([(n // 2, _sign_values(n)), (0, np.zeros(n))], dist, n, True)
+    return _best_solution([(n // 2, _sign_values(n)), (0, np.zeros(n))], dist, n)
 
 
 def _smallest_consistent_clamp(ok, half: int, hint: int | None) -> int:
@@ -345,13 +345,13 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
                           hint: int | None = None) -> FredholmSolution:
     """Best discrete rounding function for one hard distribution.
 
-    Binary search over i_a >= 1 locates the smallest clamp whose solved
-    interior is consistent (inside (-1, 1) and monotone); the zero
-    function (i_a = 0) and the fully clamped sign function always join
-    the candidate pool, and the highest-soundness consistent candidate
-    wins.  With no consistent candidate at all, the best-soundness solve
-    is returned flagged ``consistent=False``.  ``hint`` warm-starts the
-    search during grid scans.
+    Binary search over i_a >= 1 locates the smallest clamp i* whose solved
+    interior is consistent (inside (-1, 1) and monotone); the candidates
+    are the zero function (i_a = 0), i* and the fully clamped sign
+    function, which is always consistent, and the highest-soundness one
+    wins.  The consistent clamps between i* and N/2 are left out: none
+    scores above i* (``TestClampSearch``).  ``hint`` warm-starts the search
+    during grid scans.
     """
     if n % 2:
         raise DomainError("the solver needs an even cell count")
@@ -364,43 +364,21 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
     half = n // 2
     lam = 1.0 / spec.lambda1
     R = _combined_reduced(spec, n)
+    # i_a -> its solution if consistent, else None
+    found: dict[int, np.ndarray | None] = {half: _sign_values(n)}
 
-    def run(lam_: float):
-        sols: dict[int, np.ndarray | None] = {}
+    def ok(i_a: int) -> bool:
+        if i_a not in found:
+            try:
+                f = _solve_half(R, lam, i_a, n)
+                found[i_a] = f if _consistent(f, i_a, n) else None
+            except np.linalg.LinAlgError:
+                found[i_a] = None
+        return found[i_a] is not None
 
-        def get(i_a: int):
-            if i_a not in sols:
-                if i_a >= half:
-                    sols[i_a] = _sign_values(n)
-                else:
-                    try:
-                        sols[i_a] = _solve_half(R, lam_, i_a, n)
-                    except np.linalg.LinAlgError:
-                        sols[i_a] = None
-            return sols[i_a]
-
-        def ok(i_a: int) -> bool:
-            f = get(i_a)
-            return f is not None and _consistent(f, i_a, n)
-
-        # i_a = 0 is the homogeneous f = 0 solution and is treated as a
-        # standalone candidate below
-        i_star = _smallest_consistent_clamp(ok, half, hint)
-        pool = sorted({0, i_star, min(i_star + 1, half), min(i_star + 2, half), half})
-        cands = [(i_a, get(i_a)) for i_a in pool if ok(i_a)]
-        if not cands:
-            cands = [(i_a, get(i_a)) for i_a in range(half + 1) if ok(i_a)]
-        return cands, sols
-
-    cands, sols = run(lam)
-    if not cands:
-        lam *= 1.0 + 1e-9  # singular reduced systems occur for O(N) lambdas only
-        cands, sols = run(lam)
-
-    if cands:
-        return _best_solution(cands, dist, n, True, R, lam)
-    return _best_solution([(i_a, f) for i_a, f in sols.items() if f is not None],
-                          dist, n, False, R, lam)
+    i_star = _smallest_consistent_clamp(ok, half, hint)
+    cands = [(0, np.zeros(n))] + [(i_a, found[i_a]) for i_a in sorted({i_star, half})]
+    return _best_solution(cands, dist, n, R, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,8 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
 def _estimate(prods: np.ndarray) -> MomentEstimate:
     """Sample mean with its ddof=1 standard error."""
     return MomentEstimate(float(prods.mean()),
-                          float(prods.std(ddof=1) / math.sqrt(prods.size)), prods.size)
+                          float(prods.std(ddof=1) / math.sqrt(prods.size)), prods.size,
+                          prods.size)
 
 
 def _assignment_moments_callable(rule, n: int, samples: int, seed: int):

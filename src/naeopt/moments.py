@@ -37,11 +37,13 @@ _WITNESS_BATCH = 5 * 10**6
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """A moment value with its Monte Carlo standard error (0 when exact)."""
+    """A moment value with its Monte Carlo standard error (0 when exact) and
+    how many of its samples were determined (drawn rather than counted 0)."""
 
     value: float
     std_error: float
     samples: int
+    determined: int = 0
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -311,16 +313,17 @@ def _mc_estimate(draw, samples: int, batch: int) -> MomentEstimate:
         raise DomainError("need at least one sample")
     total = 0.0
     total_sq = 0.0
-    done = 0
+    done = determined = 0
     while done < samples:
         m = min(batch, samples - done)
         x = draw(m)
         total += float(x.sum())
         total_sq += float(np.dot(x, x))
         done += m
+        determined += x.size
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
-    return MomentEstimate(mean, float(np.sqrt(var / samples)), samples)
+    return MomentEstimate(mean, float(np.sqrt(var / samples)), samples, determined)
 
 
 def _factor_psd(m: np.ndarray, tol: float) -> np.ndarray:

@@ -163,6 +163,7 @@ class TestWitnessCommand:
                    "--out", str(tmp_path / "v")) == 0
         payload = read_json(tmp_path / "v_witness.json")
         assert payload["estimate"] <= 0.0
+        assert payload["estimate"] == -payload["determined"] / payload["samples"]
         assert payload["bias_first_row"] > 0 and payload["bias_petals"] > 0
 
 

@@ -147,6 +147,22 @@ class TestSolveDiscreteFredholm:
         with pytest.raises(DomainError):
             F.solve_discrete_fredholm(kernel, 1.0, 5)
 
+    def test_arithmetic_unchanged(self):
+        # the system built with np.ix_ and np.eye, as _solve_half did before
+        # it sliced contiguously: equal bit for bit
+        n, half = 100, 50
+        spec = F.kernel_spec(HARD_NAE3)
+        R = F._combined_reduced(spec, n)
+        lam = 1.0 / spec.lambda1
+        for i_a in (0, 1, 17, 49):
+            idx = np.arange(i_a, half)
+            sys = np.eye(half - i_a) + lam * R[np.ix_(idx, idx)]
+            g = lam * R[idx, :i_a].sum(axis=1)
+            want = np.concatenate([-np.ones(i_a), np.linalg.solve(sys, g)])
+            f = F._solve_half(R, lam, i_a, n)
+            assert np.array_equal(f[:half], want)
+            assert np.array_equal(f[half:], -want[::-1])
+
 
 class TestOptimalStepFunction:
     def test_maxcut_perfect_completeness(self):
@@ -245,6 +261,53 @@ class TestClampSearch:
         exhaustive = [i_a for i_a in range(1, half + 1) if ok(i_a)]
         assert exhaustive and exhaustive[-1] == half
         assert F._smallest_consistent_clamp(ok, half, hint) == exhaustive[0]
+
+    @given(st.sampled_from([("maxcut", "clamped"), ("nae3", "clamped"), ("nae3", "one")]),
+           st.floats(0.01, 0.99), st.floats(-0.99, 0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_smallest_consistent_clamp_beats_larger_ones(self, case, alpha, rho):
+        # why optimal_step_function drops the consistent clamps between i* and half
+        problem, variant = case
+        n, half = 100, 50
+        dist = HardDistribution(problem, alpha, rho, variant)
+        spec = F.kernel_spec(dist)
+        R = F._combined_reduced(spec, n)
+        lam = 1.0 / spec.lambda1
+        sounds = []
+        for i_a in range(1, half):
+            try:
+                f = F._solve_half(R, lam, i_a, n)
+            except np.linalg.LinAlgError:
+                continue
+            if F._consistent(f, i_a, n):
+                sounds.append(F._soundness_values(f, dist, n))
+        assert all(s <= sounds[0] for s in sounds)
+
+    @pytest.mark.parametrize("problem, variant", [("maxcut", "clamped"), ("nae3", "clamped"),
+                                                  ("nae3", "one")])
+    def test_solves_per_point(self, monkeypatch, problem, variant):
+        n, half = 100, 50
+        dist = HardDistribution(problem, 0.7381, -0.742, variant)
+        spec = F.kernel_spec(dist)
+        R = F._combined_reduced(spec, n)
+        lam = 1.0 / spec.lambda1
+        i_star = next(i_a for i_a in range(1, half)
+                      if F._consistent(F._solve_half(R, lam, i_a, n), i_a, n))
+        cold = F.optimal_step_function(dist, n)
+        sizes = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            sizes.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        assert F.optimal_step_function(dist, n) == cold
+        # the system of clamp i_a has half - i_a unknowns: none for 0 or half
+        assert sizes and all(0 < m < half for m in sizes)
+        sizes.clear()
+        assert F.optimal_step_function(dist, n, hint=i_star) == cold
+        assert len(sizes) <= 2 and all(0 < m < half for m in sizes)
 
 
 class TestSoundness:

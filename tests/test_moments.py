@@ -270,7 +270,7 @@ class TestMomentMC:
     def test_pair_matches_analytic(self):
         est = M.moment_mc(SIGN, GramConfig([[1, 1 / 3], [1 / 3, 1]]),
                           samples=10**6, seed=11)
-        assert est.samples == 10**6
+        assert est.samples == est.determined == 10**6
         assert abs(est.value - F2_SIGN_THIRD) < 3 * est.std_error
 
     def test_odd_moment_vanishes(self):
@@ -302,7 +302,7 @@ class TestMomentMC:
         # 7 draws in batches of 3; the draws not returned contribute 0
         batches = iter([np.array([1.0, -1.0, 1.0]), np.array([1.0]), np.array([])])
         est = M._mc_estimate(lambda m: next(batches), 7, 3)
-        assert est.samples == 7
+        assert est.samples == 7 and est.determined == 4
         assert est.value == pytest.approx(2 / 7, rel=1e-15)
         assert est.std_error == pytest.approx(math.sqrt((4 / 7 - (2 / 7) ** 2) / 7), rel=1e-15)
 
@@ -332,6 +332,12 @@ class TestF4NegativeWitness:
         # every all-determined draw contributes -1, so the mean is -P[hit]
         assert est.value <= 0.0
         assert est.samples == 4 * 10**6
+        assert est.determined > 0 and est.value == -est.determined / est.samples
+
+    def test_zero_hits_are_reported(self):
+        # at eps = 0.001 fewer than one draw in 10^10 is determined
+        est = M.f4_negative_witness(0.1, 0.001, samples=1000, seed=0)
+        assert (est.value, est.std_error, est.samples, est.determined) == (0.0, 0.0, 1000, 0)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_needs_a_sample(self, samples):

@@ -167,7 +167,9 @@ def _cell_coeffs(n: int, terms: int) -> np.ndarray:
     return u[:, :terms]
 
 
-@lru_cache(maxsize=96)
+# a solve reads at most two kernels (rho, rho0) and scans move from one rho to
+# the next, so 8 entries keep every reuse (96 held 30 MB at N=400)
+@lru_cache(maxsize=8)
 def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
     """_odd_reduced of the cell-pair masses at correlation rho_key: the
     Mehler series R = 2N U diag(rho^k) U^T truncated at K(rho) (module

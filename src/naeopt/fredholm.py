@@ -9,10 +9,15 @@ integral equation of the second kind; discretizing f as a step function on
 N equal-Gaussian-mass cells turns it into the dense linear system
 (I + lam M')f' = g over the unclamped cells, with lam = 1/lambda1, M' the
 weighted kernel matrix scaled by N, and g collecting the clamped +-1
-cells.  The index i_a of the last clamped cell is found by binary search
-on boundedness of the solved interior (empirically monotone in i_a for
-i_a >= 1); the zero function (i_a = 0, the homogeneous solution) and the
-sign function (i_a = N/2) are the other two candidates.
+cells.  The index i_a of the last clamped cell is the smallest one whose
+solved interior is consistent, bounded and monotone (consistency is
+monotone in i_a for i_a >= 1, which ``TestClampSearch`` checks): from a
+hint the search gallops 1, 2, 4, ... clamps away until that index is
+bracketed and bisects the bracket, and without one it bisects [1, N/2].
+The zero function (i_a = 0, the homogeneous solution) and the sign
+function (i_a = N/2) are the other two candidates.  Grid scans take the
+winner's index, soundness and completeness straight from the search and
+build no GridFunction per point.
 
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
@@ -289,13 +294,15 @@ def _sign_values(n: int) -> np.ndarray:
     return f
 
 
-def _bounded(f: np.ndarray, i_a: int, n: int) -> bool:
-    interior = f[i_a : n - i_a]
-    return not interior.size or float(np.max(np.abs(interior))) < 1.0
-
-
-def _consistent(f: np.ndarray, i_a: int, n: int) -> bool:
-    return _bounded(f, i_a, n) and bool(np.all(np.diff(f) >= -1e-12))
+def _consistent_half(fh: np.ndarray, i_a: int) -> bool:
+    """Whether the odd f with left half fh is consistent: its interior lies
+    inside (-1, 1) and f is non-decreasing.  Each step of the right half
+    equals a left-half step bit for bit and the middle step is -2 fh[-1],
+    so the mirror adds nothing to check."""
+    interior = fh[i_a:]
+    if interior.size and not float(np.max(np.abs(interior))) < 1.0:
+        return False
+    return -2.0 * fh[-1] >= -1e-12 and bool(np.all(np.diff(fh) >= -1e-12))
 
 
 def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: int) -> float:
@@ -306,34 +313,42 @@ def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: in
     return float(np.linalg.norm(r[i_a:half]))
 
 
-def _best_solution(cands, dist: HardDistribution, n: int,
-                   R: np.ndarray | None = None, lam: float = math.inf) -> FredholmSolution:
-    """The highest-soundness (i_a, f) candidate; the first one on ties."""
+def _best(cands, dist: HardDistribution, n: int) -> tuple[int, np.ndarray, float]:
+    """(i_a, f, soundness) of the highest-soundness candidate; the first on ties."""
     s, i_a, f = max(((_soundness_values(f, dist, n), i_a, f) for i_a, f in cands),
                     key=lambda t: t[0])
-    return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
-                            _interior_residual(f, R, lam, i_a, n), float(s),
-                            completeness(dist), True, dist)
-
-
-def _vertex_solution(dist: HardDistribution, n: int) -> FredholmSolution:
-    """Best of {sign, 0} by true soundness, for the degenerate corners."""
-    return _best_solution([(n // 2, _sign_values(n)), (0, np.zeros(n))], dist, n)
+    return i_a, f, float(s)
 
 
 def _smallest_consistent_clamp(ok, half: int, hint: int | None) -> int:
-    """Smallest i_a in [1, half] with ok(i_a), by bisection.
+    """Smallest i_a in [1, half] with ok(i_a).
 
     Too few clamps give unbounded or oscillating solutions, and ok(half)
-    (the sign function) always holds; the bisection trusts ok to stay true
-    once it holds.  ``hint`` is returned when it is that boundary.
+    (the sign function) always holds; the search trusts ok to stay true
+    once it holds (``TestClampSearch``).  From a hint in [1, half] it
+    gallops, stepping 1, 2, 4, ... clamps away from the hint until the
+    boundary is bracketed, then bisects the bracket: a hint d clamps off
+    costs at most 2 ceil(log2(d + 1)) + 2 calls, the right one two.
+    Without a hint it tries 1, then bisects [1, half].
     """
-    if hint is not None and 1 <= hint <= half and ok(hint) \
-            and (hint == 1 or not ok(hint - 1)):
-        return hint
-    lo, hi = 1, half
-    if ok(lo):
-        hi = lo
+    if hint is not None and 1 <= hint <= half:
+        step = 1
+        if ok(hint):
+            lo, hi = hint - 1, hint
+            while lo >= 1 and ok(lo):
+                hi, step = lo, 2 * step
+                lo = hi - step
+            lo = max(lo, 0)  # 0 stands for "not ok": the boundary is >= 1
+        else:
+            lo, hi = hint, hint + 1
+            while hi < half and not ok(hi):
+                lo, step = hi, 2 * step
+                hi = lo + step
+            hi = min(hi, half)
+    elif ok(1):
+        return 1
+    else:
+        lo, hi = 1, half
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -343,27 +358,23 @@ def _smallest_consistent_clamp(ok, half: int, hint: int | None) -> int:
     return hi
 
 
-def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
-                          hint: int | None = None) -> FredholmSolution:
-    """Best discrete rounding function for one hard distribution.
+def _search(dist: HardDistribution, n: int, hint: int | None = None):
+    """The clamp search of optimal_step_function, without the result object.
 
-    Binary search over i_a >= 1 locates the smallest clamp i* whose solved
-    interior is consistent (inside (-1, 1) and monotone); the candidates
-    are the zero function (i_a = 0), i* and the fully clamped sign
-    function, which is always consistent, and the highest-soundness one
-    wins.  The consistent clamps between i* and N/2 are left out: none
-    scores above i* (``TestClampSearch``).  ``hint`` warm-starts the search
-    during grid scans.
+    Returns (i_a, f, soundness, R, lam): the winning clamp index, its full
+    odd f, its soundness, and the reduced kernel and lam of the system it
+    solves (None and inf at the degenerate corners).
     """
     if n % 2:
         raise DomainError("the solver needs an even cell count")
-    if dist.rho <= -1.0 or (dist.problem == "maxcut" and dist.alpha == 0.0):
-        return _vertex_solution(dist, n)
-    spec = kernel_spec(dist)
-    if spec.lambda1 <= _TINY_LAMBDA1:
-        return _vertex_solution(dist, n)
-
     half = n // 2
+    spec = None
+    if dist.rho > -1.0 and not (dist.problem == "maxcut" and dist.alpha == 0.0):
+        spec = kernel_spec(dist)
+    if spec is None or spec.lambda1 <= _TINY_LAMBDA1:
+        # the degenerate corners: best of {sign, 0} by true soundness
+        return _best([(half, _sign_values(n)), (0, np.zeros(n))], dist, n) + (None, math.inf)
+
     lam = 1.0 / spec.lambda1
     R = _combined_reduced(spec, n)
     # i_a -> its solution if consistent, else None
@@ -373,14 +384,34 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
         if i_a not in found:
             try:
                 f = _solve_half(R, lam, i_a, n)
-                found[i_a] = f if _consistent(f, i_a, n) else None
+                found[i_a] = f if _consistent_half(f[:half], i_a) else None
             except np.linalg.LinAlgError:
                 found[i_a] = None
         return found[i_a] is not None
 
     i_star = _smallest_consistent_clamp(ok, half, hint)
     cands = [(0, np.zeros(n))] + [(i_a, found[i_a]) for i_a in sorted({i_star, half})]
-    return _best_solution(cands, dist, n, R, lam)
+    return _best(cands, dist, n) + (R, lam)
+
+
+def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
+                          hint: int | None = None) -> FredholmSolution:
+    """Best discrete rounding function for one hard distribution.
+
+    The search locates the smallest clamp i* >= 1 whose solved interior is
+    consistent (inside (-1, 1) and monotone): from ``hint``, a guess such
+    as the clamp of a neighbouring grid point, it gallops 1, 2, 4, ...
+    clamps away until i* is bracketed and bisects the bracket; without one
+    it tries i_a = 1 and bisects [1, N/2].  The candidates are the zero
+    function (i_a = 0), i* and the fully clamped sign function, which is
+    always consistent, and the highest-soundness one wins.  The consistent
+    clamps between i* and N/2 are left out: none scores above i*
+    (``TestClampSearch``).
+    """
+    i_a, f, s, R, lam = _search(dist, n, hint)
+    return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
+                            _interior_residual(f, R, lam, i_a, n), s,
+                            completeness(dist), True, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +443,11 @@ def _scan_rho(args) -> list[CurvePoint]:
     for variant in _variants(problem):
         hint = None
         for alpha in alphas:
-            sol = optimal_step_function(HardDistribution(problem, alpha, rho, variant), n,
-                                        hint=hint)
-            hint = sol.clamp_index if 1 <= sol.clamp_index < n // 2 else None
+            dist = HardDistribution(problem, alpha, rho, variant)
+            i_a, _, s, _, _ = _search(dist, n, hint)
+            hint = i_a if 1 <= i_a < n // 2 else None
             pts.append(CurvePoint(problem, float(alpha), float(rho), variant,
-                                  sol.completeness, sol.soundness, sol.consistent))
+                                  completeness(dist), s, True))
     return pts
 
 
@@ -536,56 +567,3 @@ def slinear_fit(f: GridFunction) -> SLinearFit:
     dev = y - np.clip(slope * x, -1.0, 1.0)
     return SLinearFit(slope, float(np.max(np.abs(dev))),
                       float(np.sqrt(np.mean(dev * dev))), int(interior.sum()))
-
-
-@dataclass(frozen=True)
-class IterationResult:
-    values: np.ndarray
-    residuals: tuple[float, ...]
-    diverged: bool
-
-
-def successive_approximation(spec: KernelSpec, g, lam: float, iterations: int,
-                             clamp_index: int = 0) -> IterationResult:
-    """Picard iteration f_n = g + lam K f_{n-1} for the equation f - lam K f = g.
-
-    K is the discrete kernel operator N * Mhat built from ``spec``.  With
-    ``clamp_index`` = i_a > 0 the first and last i_a cells are held at
-    their g values as a boundary condition and only the interior iterates;
-    passing lam = -lam' and g = (the clamped sign pattern, zero interior)
-    then targets the same solution as solve_discrete_fredholm(-, lam', i_a).
-    Divergence (residual growing three iterations in a row) is flagged and
-    the last iterate returned.
-    """
-    if iterations < 1:
-        raise DomainError("need at least one iteration")
-    gv = np.asarray(g.values if isinstance(g, GridFunction) else g, dtype=float)
-    n = gv.size
-    i_a = clamp_index
-    if not 0 <= i_a <= n // 2:
-        raise DomainError("clamp index out of range")
-    K = n * build_kernel_matrix(spec, n)
-    interior = slice(i_a, n - i_a) if i_a else slice(None)
-
-    def step(prev: np.ndarray) -> np.ndarray:
-        out = gv.copy()
-        out[interior] = gv[interior] + lam * (K @ prev)[interior]
-        return out
-
-    f = gv.copy()
-    residuals: list[float] = []
-    grow = 0
-    diverged = False
-    for _ in range(iterations):
-        f = step(f)
-        res = float(np.linalg.norm((f - lam * (K @ f) - gv)[interior]))
-        if residuals and res > residuals[-1]:
-            grow += 1
-            if grow >= 3:
-                residuals.append(res)
-                diverged = True
-                break
-        else:
-            grow = 0
-        residuals.append(res)
-    return IterationResult(f, tuple(residuals), diverged)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -240,59 +241,67 @@ class TestOptimalStepFunction:
             F.optimal_step_function(HARD_NAE3, 101)
 
 
+CASES = [("maxcut", "clamped"), ("nae3", "clamped"), ("nae3", "one")]
+
+
+def _consistent_full(f, i_a, n):
+    """Consistency read off the full odd f: interior inside (-1, 1), f monotone."""
+    interior = f[i_a : n - i_a]
+    bounded = not interior.size or float(np.max(np.abs(interior))) < 1.0
+    return bounded and bool(np.all(np.diff(f) >= -1e-12))
+
+
+def _system(dist, n):
+    spec = F.kernel_spec(dist)
+    return F._combined_reduced(spec, n), 1.0 / spec.lambda1
+
+
+def _consistent_clamps(dist, n):
+    """Every i_a in [1, N/2] whose solve is consistent, by exhaustive scan."""
+    R, lam = _system(dist, n)
+    out = []
+    for i_a in range(1, n // 2 + 1):
+        try:
+            f = F._solve_half(R, lam, i_a, n)
+        except np.linalg.LinAlgError:
+            continue
+        if _consistent_full(f, i_a, n):
+            out.append(i_a)
+    return out
+
+
 class TestClampSearch:
-    @given(st.sampled_from([("maxcut", "clamped"), ("nae3", "clamped"), ("nae3", "one")]),
-           st.floats(0.01, 0.99), st.floats(-0.99, 0.0),
-           st.one_of(st.none(), st.integers(1, 50)))
+    @given(st.sampled_from(CASES), st.floats(0.01, 0.99), st.floats(-0.99, 0.0))
     @settings(max_examples=60, deadline=None)
-    def test_bisection_finds_smallest_consistent_clamp(self, case, alpha, rho, hint):
+    def test_bisection_finds_smallest_consistent_clamp(self, case, alpha, rho):
         problem, variant = case
         n, half = 100, 50
-        spec = F.kernel_spec(HardDistribution(problem, alpha, rho, variant))
-        R = F._combined_reduced(spec, n)
-        lam = 1.0 / spec.lambda1
+        consistent = _consistent_clamps(HardDistribution(problem, alpha, rho, variant), n)
+        # the search's trusted assumption: the consistent clamps are a suffix
+        i_star = consistent[0]
+        assert consistent == list(range(i_star, half + 1))
+        ok = set(consistent).__contains__
+        assert F._smallest_consistent_clamp(ok, half, None) == i_star
+        for hint in range(1, half + 1):
+            assert F._smallest_consistent_clamp(ok, half, hint) == i_star
 
-        def ok(i_a):
-            try:
-                return F._consistent(F._solve_half(R, lam, i_a, n), i_a, n)
-            except np.linalg.LinAlgError:
-                return False
-
-        exhaustive = [i_a for i_a in range(1, half + 1) if ok(i_a)]
-        assert exhaustive and exhaustive[-1] == half
-        assert F._smallest_consistent_clamp(ok, half, hint) == exhaustive[0]
-
-    @given(st.sampled_from([("maxcut", "clamped"), ("nae3", "clamped"), ("nae3", "one")]),
-           st.floats(0.01, 0.99), st.floats(-0.99, 0.0))
+    @given(st.sampled_from(CASES), st.floats(0.01, 0.99), st.floats(-0.99, 0.0))
     @settings(max_examples=60, deadline=None)
     def test_smallest_consistent_clamp_beats_larger_ones(self, case, alpha, rho):
         # why optimal_step_function drops the consistent clamps between i* and half
         problem, variant = case
         n, half = 100, 50
         dist = HardDistribution(problem, alpha, rho, variant)
-        spec = F.kernel_spec(dist)
-        R = F._combined_reduced(spec, n)
-        lam = 1.0 / spec.lambda1
-        sounds = []
-        for i_a in range(1, half):
-            try:
-                f = F._solve_half(R, lam, i_a, n)
-            except np.linalg.LinAlgError:
-                continue
-            if F._consistent(f, i_a, n):
-                sounds.append(F._soundness_values(f, dist, n))
+        R, lam = _system(dist, n)
+        sounds = [F._soundness_values(F._solve_half(R, lam, i_a, n), dist, n)
+                  for i_a in _consistent_clamps(dist, n) if i_a < half]
         assert all(s <= sounds[0] for s in sounds)
 
-    @pytest.mark.parametrize("problem, variant", [("maxcut", "clamped"), ("nae3", "clamped"),
-                                                  ("nae3", "one")])
+    @pytest.mark.parametrize("problem, variant", CASES)
     def test_solves_per_point(self, monkeypatch, problem, variant):
         n, half = 100, 50
         dist = HardDistribution(problem, 0.7381, -0.742, variant)
-        spec = F.kernel_spec(dist)
-        R = F._combined_reduced(spec, n)
-        lam = 1.0 / spec.lambda1
-        i_star = next(i_a for i_a in range(1, half)
-                      if F._consistent(F._solve_half(R, lam, i_a, n), i_a, n))
+        i_star = _consistent_clamps(dist, n)[0]
         cold = F.optimal_step_function(dist, n)
         sizes = []
         solve = np.linalg.solve
@@ -308,6 +317,75 @@ class TestClampSearch:
         sizes.clear()
         assert F.optimal_step_function(dist, n, hint=i_star) == cold
         assert len(sizes) <= 2 and all(0 < m < half for m in sizes)
+        # a wrong hint costs the gallop and a bisection of its bracket
+        for hint in range(1, half + 1):
+            sizes.clear()
+            assert F.optimal_step_function(dist, n, hint=hint) == cold
+            d = abs(hint - i_star)
+            assert len(sizes) <= 2 * math.ceil(math.log2(d + 1)) + 2, hint
+
+    @pytest.mark.parametrize("problem, variant", CASES)
+    def test_consistency_from_the_left_half(self, problem, variant):
+        n, half = 100, 50
+        for alpha, rho in ((0.05, -0.2), (0.7381, -0.742), (0.95, -0.97)):
+            R, lam = _system(HardDistribution(problem, alpha, rho, variant), n)
+            for i_a in range(half + 1):
+                f = F._solve_half(R, lam, i_a, n)
+                assert F._consistent_half(f[:half], i_a) == _consistent_full(f, i_a, n)
+
+    def test_consistency_steps_down(self):
+        n, half = 100, 50
+
+        def odd(fh):
+            return np.concatenate([fh, -fh[::-1]])
+
+        fh = np.linspace(-0.5, -0.01, half)
+        assert F._consistent_half(fh, 0) and _consistent_full(odd(fh), 0, n)
+        fh[10] = fh[9] - 1e-9  # inside each half
+        assert not F._consistent_half(fh, 0) and not _consistent_full(odd(fh), 0, n)
+        fh = np.full(half, 0.25)  # across the middle
+        assert not F._consistent_half(fh, 0) and not _consistent_full(odd(fh), 0, n)
+
+
+def _scan_digest(problem, grid, n):
+    """sha256 of the clamp index and soundness bits of every point of the
+    grid x grid scan, built point by point from optimal_step_function with
+    the hints the scan passes."""
+    clamps, sounds = [], []
+    alphas = np.linspace(0.0, 1.0, grid)
+    for rho in np.linspace(-1.0, 0.0, grid):
+        for variant in F._variants(problem):
+            hint = None
+            for alpha in alphas:
+                sol = F.optimal_step_function(HardDistribution(problem, alpha, rho, variant), n,
+                                              hint=hint)
+                hint = sol.clamp_index if 1 <= sol.clamp_index < n // 2 else None
+                clamps.append(sol.clamp_index)
+                sounds.append(sol.soundness)
+    return hashlib.sha256(np.array(clamps, dtype="<i8").tobytes()
+                          + np.array(sounds, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestLeanScan:
+    @pytest.mark.parametrize("problem", ["maxcut", "nae3"])
+    def test_scan_matches_public_path(self, problem):
+        n = 60
+        alphas = np.linspace(0.0, 1.0, 9)
+        for rho in np.linspace(-1.0, 0.0, 7):
+            pts = F._scan_rho((problem, float(rho), alphas, n))
+            want = [F.optimal_step_function(HardDistribution(problem, a, rho, v), n)
+                    for v in F._variants(problem) for a in alphas]
+            assert len(pts) == len(want)
+            for p, sol in zip(pts, want):
+                assert np.float64(p.soundness).view(np.uint64) \
+                    == np.float64(sol.soundness).view(np.uint64)
+                assert p.completeness == sol.completeness and p.consistent
+
+    def test_curve_scan_grid_pinned(self):
+        # the 40 x 40 nae3 grid at N=100 of the curve-scan benchmark; the
+        # reference is the clamp search as it was before it galloped
+        assert _scan_digest("nae3", 40, 100) == \
+            "4b2d3451dd7bc5aba265e2177f73efada1082334d3213b12975df87a10772bc4"
 
 
 class TestSoundness:
@@ -379,46 +457,3 @@ class TestSLinearFit:
     def test_all_clamped_rejected(self):
         with pytest.raises(DomainError):
             F.slinear_fit(GridFunction((-1.0, -1.0, 1.0, 1.0)))
-
-
-class TestSuccessiveApproximation:
-    def test_lambda_zero_returns_g(self):
-        spec = F.KernelSpec(1.0, ((1.0, -0.5),))
-        g = np.linspace(-0.5, 0.5, 8)
-        res = F.successive_approximation(spec, g, 0.0, 5)
-        assert np.allclose(res.values, g)
-        assert not res.diverged
-
-    def test_contractive_matches_direct_solve(self):
-        n = 40
-        spec = F.KernelSpec(1.0, ((1.0, -0.5),))
-        kernel = F.build_kernel_matrix(spec, n)
-        lam = 0.4
-        direct = F.solve_discrete_fredholm(kernel, lam, 4)
-        gvec = np.zeros(n)
-        gvec[:4], gvec[-4:] = -1.0, 1.0
-        res = F.successive_approximation(spec, gvec, -lam, 300, clamp_index=4)
-        assert not res.diverged
-        assert res.residuals[-1] < 1e-10
-        assert np.max(np.abs(res.values - np.asarray(direct.values))) < 1e-6
-
-    def test_hard_point_natural_lambda(self):
-        # lam = 3a/(1-a) ~ 8.45 is far outside the contraction regime
-        spec = F.kernel_spec(HARD_NAE3)
-        n = 80
-        lam = 1.0 / spec.lambda1
-        kernel = F.build_kernel_matrix(spec, n)
-        i_a = 32
-        gvec = np.zeros(n)
-        gvec[:i_a], gvec[-i_a:] = -1.0, 1.0
-        res = F.successive_approximation(spec, gvec, -lam, 200, clamp_index=i_a)
-        if not res.diverged:
-            direct = F.solve_discrete_fredholm(kernel, lam, i_a)
-            assert np.max(np.abs(res.values - direct.values)) < 1e-4
-        else:
-            assert len(res.residuals) < 200
-
-    def test_needs_iterations(self):
-        with pytest.raises(DomainError):
-            F.successive_approximation(F.KernelSpec(1.0, ((1.0, 0.0),)),
-                                       np.zeros(4), 0.1, 0)

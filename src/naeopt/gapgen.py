@@ -17,12 +17,23 @@ rule gives P[X=1 | shared +] = p1/4 + p2/2 + (1-p2)/4 = (p1+p2+1)/4, and
 the two agree on the p2 = 0 rules used everywhere.)  Setting p1 - 1 =
 -2 sqrt(2 sqrt(21) - 9), p2 = 0 meets the worst-case moments of the
 hardness bound, which the generated instances then achieve.
+
+Every vector takes three columns c of one sampled tuple (distinct
+coordinates idx[c], uniform signs s[c]) with a sign flip per column.
+The 3-clause vectors take columns (0,1,3), (1,2,4), (2,0,5) with flips
+(+,-,+), so each pair shares one coordinate with opposite signs (dot
+-1/3).  Petal j of k takes (0, 2j+1, 2j+2) unflipped, so petals share
+the signed column 0 (dot 1/3).  A 5-clause is petals 0..3 of 4 plus
+columns (9, 10, 11), which meet no petal (dot 0).  A vector with >= 2
+positive signs is its own canonical representative, any other the
+negation of one (a negative literal); ids follow first occurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +88,12 @@ class SparseVec:
         return v
 
 
-def _vec(pairs) -> SparseVec:
-    pairs = sorted(pairs)
-    return SparseVec(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+def _petal_cols(k: int) -> list[tuple[int, int, int]]:
+    return [(0, 2 * j + 1, 2 * j + 2) for j in range(k)]
+
+
+_CLAUSE3 = ([(0, 1, 3), (1, 2, 4), (2, 0, 5)], (1, -1, 1))
+_CLAUSE5 = (_petal_cols(4) + [(9, 10, 11)], 1)
 
 
 def _sample_tuples(rng: np.random.Generator, m: int, n: int, width: int):
@@ -88,27 +102,22 @@ def _sample_tuples(rng: np.random.Generator, m: int, n: int, width: int):
     return idx, signs
 
 
-def clause3_vectors(idx, s) -> tuple[SparseVec, SparseVec, SparseVec]:
-    """The 3-clause pattern: cyclic shared indices with opposite signs."""
-    i1, i2, i3, i4, i5, i6 = (int(x) for x in idx)
-    s1, s2, s3, s4, s5, s6 = (int(x) for x in s)
-    return (_vec([(i1, s1), (i2, -s2), (i4, s4)]),
-            _vec([(i2, s2), (i3, -s3), (i5, s5)]),
-            _vec([(i3, s3), (i1, -s1), (i6, s6)]))
+def _vector_rows(idx, signs, cols, flips=1) -> tuple[np.ndarray, np.ndarray]:
+    """Index-sorted (indices, signs) rows of the vectors taking columns
+    ``cols`` of each tuple, signs times ``flips``; tuple-major order."""
+    ind = idx[:, cols].reshape(-1, 3)
+    sg = (signs[:, cols] * flips).reshape(-1, 3)
+    order = np.argsort(ind, axis=1)
+    return np.take_along_axis(ind, order, 1), np.take_along_axis(sg, order, 1)
 
 
-def _petals(idx, s, k: int) -> tuple[SparseVec, ...]:
-    """k vectors sharing the signed coordinate (idx[0], s[0]); vector j
-    adds coordinates 2j+1 and 2j+2."""
-    idx = [int(x) for x in idx]
-    s = [int(x) for x in s]
-    return tuple(_vec([(idx[0], s[0]), (idx[2 * j + 1], s[2 * j + 1]),
-                       (idx[2 * j + 2], s[2 * j + 2])]) for j in range(k))
+def _sparse_vecs(ind: np.ndarray, sg: np.ndarray) -> tuple[SparseVec, ...]:
+    return tuple(SparseVec(tuple(i), tuple(s)) for i, s in zip(ind.tolist(), sg.tolist()))
 
 
-def clause5_vectors(idx, s) -> tuple[SparseVec, ...]:
-    """Four petals sharing a signed coordinate plus one disjoint vector."""
-    return _petals(idx, s, 4) + (_vec(zip(map(int, idx[9:12]), map(int, s[9:12]))),)
+def _orientation(positives: np.ndarray) -> np.ndarray:
+    """+1 where a vector with this many positive signs is canonical, else -1."""
+    return np.where(positives >= 2, 1, -1)
 
 
 def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
@@ -117,7 +126,7 @@ def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
         raise DomainError(f"D_{k} needs at least {2 * k + 1} coordinates, have {n}")
     rng = np.random.default_rng(seed)
     idx, s = _sample_tuples(rng, 1, n, 2 * k + 1)
-    return _petals(idx[0], s[0], k)
+    return _sparse_vecs(*_vector_rows(idx, s, _petal_cols(k)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,20 @@ class GapInstance:
     num_5clauses: int
     variables: tuple[SparseVec, ...]    # canonical representative per variable id
     instance: NAEInstance
-    clause_vectors: tuple[tuple[SparseVec, ...], ...] = ()  # absent when loaded from files
+
+    @cached_property
+    def clause_vectors(self) -> tuple[tuple[SparseVec, ...], ...]:
+        """Each clause's vectors; a negative literal is the negated variable."""
+        neg = [v.negate() for v in self.variables]
+        return tuple(tuple(self.variables[l - 1] if l > 0 else neg[-l - 1] for l in c.literals)
+                     for c in self.instance.clauses)
+
+    @cached_property
+    def positives(self) -> np.ndarray:
+        """Positive-sign count (2 or 3) of each variable's representative."""
+        out = np.array([v.positives for v in self.variables], dtype=np.int8)
+        out.setflags(write=False)
+        return out
 
     def vector_assignment(self) -> VectorAssignment:
         return VectorAssignment(np.vstack([v.dense(self.n) for v in self.variables]))
@@ -145,56 +167,40 @@ def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
     identity holds exactly per sampled clause, which is all the analysis
     uses.
     """
-    if n < 12:
-        raise DomainError("a 5-clause needs 12 distinct coordinates")
+    if not 12 <= n <= 2**20:  # the variable key below must fit in an int64
+        raise DomainError(f"n={n} outside [12, 2^20]: a 5-clause needs 12 coordinates")
     if m3 < 1 or m5 < 1:
         raise DomainError("need at least one clause of each size")
     rng = np.random.default_rng(seed)
     idx3, s3 = _sample_tuples(rng, m3, n, 6)
     idx5, s5 = _sample_tuples(rng, m5, n, 12)
-
-    registry: dict[tuple, int] = {}
-    variables: list[SparseVec] = []
-
-    def var_literal(v: SparseVec) -> int:
-        rep, orient = v.canonical()
-        key = (rep.indices, rep.signs)
-        vid = registry.get(key)
-        if vid is None:
-            variables.append(rep)
-            vid = len(variables)
-            registry[key] = vid
-        return orient * vid
-
-    clause_vectors = []
-    clauses = []
-    w3 = WEIGHT_3 / m3
-    w5 = WEIGHT_5 / m5
-    for row in range(m3):
-        vecs = clause3_vectors(idx3[row], s3[row])
-        clause_vectors.append(vecs)
-        clauses.append((w3, tuple(var_literal(v) for v in vecs)))
-    for row in range(m5):
-        vecs = clause5_vectors(idx5[row], s5[row])
-        clause_vectors.append(vecs)
-        clauses.append((w5, tuple(var_literal(v) for v in vecs)))
-    inst = NAEInstance(len(variables),
-                       tuple(Clause(w, lits) for w, lits in clauses))
-    return GapInstance(n, m3, m5, tuple(variables), inst, tuple(clause_vectors))
+    ind, sg = (np.concatenate(a) for a in zip(_vector_rows(idx3, s3, *_CLAUSE3),
+                                             _vector_rows(idx5, s5, *_CLAUSE5)))
+    orient = _orientation((sg > 0).sum(axis=1))
+    sg = sg * orient[:, None]
+    # one integer per (indices, representative signs)
+    key = ((ind[:, 0] * n + ind[:, 1]) * n + ind[:, 2]) * 8 + (sg > 0) @ [4, 2, 1]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # variable ids in order of first occurrence
+    lits = (rank[inverse] + 1) * orient
+    clauses = [Clause(WEIGHT_3 / m3, tuple(c)) for c in lits[:3 * m3].reshape(m3, 3).tolist()]
+    clauses += [Clause(WEIGHT_5 / m5, tuple(c)) for c in lits[3 * m3:].reshape(m5, 5).tolist()]
+    rep = np.sort(first)
+    return GapInstance(n, m3, m5, _sparse_vecs(ind[rep], sg[rep]),
+                       NAEInstance(first.size, tuple(clauses)))
 
 
 def load_gap(instance_text: str, vector_text: str) -> GapInstance:
     """Rebuild a GapInstance from its serialized instance + vector files.
 
-    Vector rows must be in the sparse form (canonical representatives);
-    the per-clause vector tuples are not reconstructed, only what
-    evaluation needs.
+    Vector rows must be in the sparse form (canonical representatives).
     """
     inst = pipeline.parse_instance(instance_text)
     num_vars, n, rows = pipeline.read_vector_rows(vector_text)
     if num_vars != inst.num_vars or not all(isinstance(r, tuple) for r in rows.values()):
         raise StructuralError("gap vectors must be sparse rows, one per instance variable")
-    variables = tuple(_vec(rows[vid]) for vid in range(1, num_vars + 1))
+    pairs = np.array([rows[vid] for vid in range(1, num_vars + 1)])
+    variables = _sparse_vecs(*_vector_rows(pairs[..., 0], pairs[..., 1], [(0, 1, 2)]))
     m3 = sum(1 for c in inst.clauses if len(c.literals) == 3)
     m5 = sum(1 for c in inst.clauses if len(c.literals) == 5)
     return GapInstance(n, m3, m5, variables, inst)
@@ -232,28 +238,12 @@ def witness_pair_expectations(clause_kind: int) -> np.ndarray:
 # rounding rules and moments
 
 
-def _apply_rule_positives(positives: np.ndarray, orient: np.ndarray,
-                          p1: float, p2: float, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized rule on canonical-representative positive counts (2 or 3)."""
-    p_sel = np.where(positives == 3, p1, p2)
-    coins = np.where(rng.random(positives.shape) < p_sel, 1, -1)
-    return orient * coins
-
-
-def _tuple_positives(signs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vector positive count and canonical orientation for sunflower draws.
-
-    ``signs`` has 2k+1 sign columns per sample; vector j uses columns
-    (0, 2j+1, 2j+2).
-    """
-    m = signs.shape[0]
-    pos = np.empty((m, k), dtype=np.int8)
-    for j in range(k):
-        cols = signs[:, [0, 2 * j + 1, 2 * j + 2]]
-        pos[:, j] = (cols > 0).sum(axis=1)
-    orient = np.where(pos >= 2, 1, -1)
-    rep_pos = np.where(pos >= 2, pos, 3 - pos)
-    return rep_pos, orient
+def _rule_coins(rep_positives: np.ndarray, p1: float, p2: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """The two-probability rule on representatives: +1 with probability p1
+    where all three signs are positive, p2 where two are; else -1."""
+    p_sel = np.where(rep_positives == 3, p1, p2)
+    return np.where(rng.random(rep_positives.shape) < p_sel, 1, -1)
 
 
 def assignment_moments(rule, n: int, samples: int = 10**6,
@@ -264,6 +254,8 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
     mapping a canonical SparseVec to +-1 (an explicit assignment; slower,
     sampled at min(samples, 20000) tuples).
     """
+    if samples < 2:
+        raise DomainError("a moment estimate and its standard error need at least 2 samples")
     if callable(rule):
         return _assignment_moments_callable(rule, n, min(samples, 20000), seed)
     p1, p2 = rule
@@ -277,9 +269,9 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
         # petal indices never collide inside one tuple, so only the sign
         # pattern matters for the rounding outcome; index sampling is
         # unnecessary for the moment statistics
-        signs = rng.integers(0, 2, size=(samples, 2 * k + 1)) * 2 - 1
-        rep_pos, orient = _tuple_positives(signs, k)
-        x = _apply_rule_positives(rep_pos, orient, p1, p2, rng)
+        positive = rng.integers(0, 2, size=(samples, 2 * k + 1)) > 0
+        pos = positive[:, _petal_cols(k)].sum(axis=2, dtype=np.int8)
+        x = _orientation(pos) * _rule_coins(np.maximum(pos, 3 - pos), p1, p2, rng)
         out.append(_estimate(np.prod(x, axis=1).astype(float)))
     return out[0], out[1]
 
@@ -333,8 +325,7 @@ def expected_fraction(gap: GapInstance, rule: tuple[float, float]) -> tuple[floa
     the number moves across instance draws), from the per-clause spread.
     """
     p1, p2 = rule
-    mu_var = np.where(np.array([v.positives for v in gap.variables]) == 3,
-                      2.0 * p1 - 1.0, 2.0 * p2 - 1.0)
+    mu_var = np.where(gap.positives == 3, 2.0 * p1 - 1.0, 2.0 * p2 - 1.0)
     total = 0.0
     var_acc = 0.0
     for lits, w in pipeline.clause_arrays(gap.instance):
@@ -357,13 +348,12 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     expected vs class prediction differ by the clause-sampling noise,
     whose scale is reported alongside.
     """
+    if trials < 1:
+        raise DomainError("need at least one trial")
     p1, p2 = rule
     rng = np.random.default_rng(seed)
-    rep_pos = np.array([v.positives for v in gap.variables], dtype=np.int8)
-    assignments = np.empty((trials, len(gap.variables)), dtype=np.int8)
-    for t in range(trials):
-        assignments[t] = _apply_rule_positives(
-            rep_pos, np.ones_like(rep_pos), p1, p2, rng)
+    rep_pos = np.broadcast_to(gap.positives, (trials, len(gap.variables)))
+    assignments = _rule_coins(rep_pos, p1, p2, rng).astype(np.int8)
     fracs = pipeline.evaluate_many(gap.instance, assignments)
     mean = float(fracs.mean())
     se = float(fracs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

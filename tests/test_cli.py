@@ -86,6 +86,17 @@ class TestGapCommands:
         assert 0.8 < payload["fraction"] < 0.95
         assert abs(payload["p1"] - (1 - 2 * math.sqrt(2 * math.sqrt(21) - 9))) < 1e-8
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_eval_without_trials_exits_2(self, tmp_path, capsys, trials):
+        pre = str(tmp_path / "g")
+        assert run(tmp_path, "gap", "gen", "--n", "12", "--m3", "5", "--m5", "5",
+                   "--out", pre) == 0
+        assert run(tmp_path, "gap", "eval", "--instance", pre + "_instance.nae",
+                   "--vectors", pre + "_vectors.txt", "--trials", trials,
+                   "--out", str(tmp_path / "e")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "e_eval.json").exists()
+
 
 class TestStepoptSweepHermite:
     def test_stepopt_row(self, tmp_path):

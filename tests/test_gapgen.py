@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,9 +12,28 @@ from naeopt import pipeline as P
 SMALL = dict(n=48, m3=400, m5=400, seed=13)
 
 
+def _files(gap):
+    return (P.format_instance(gap.instance),
+            P.format_vectors(gap.vector_assignment(), gap.sparse_rows()))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def small_gap():
     return G.gen_gap_instance(**SMALL)
+
+
+@pytest.fixture(scope="module")
+def loaded_gap(small_gap):
+    return G.load_gap(*_files(small_gap))
+
+
+@pytest.fixture(params=["generated", "loaded"])
+def gap(request, small_gap, loaded_gap):
+    return small_gap if request.param == "generated" else loaded_gap
 
 
 class TestSparseVec:
@@ -39,12 +59,12 @@ class TestSparseVec:
 
 
 class TestGeneration:
-    def test_exact_bias_patterns(self, small_gap):
-        for vecs in small_gap.clause_vectors[: small_gap.num_3clauses]:
+    def test_exact_bias_patterns(self, gap):
+        for vecs in gap.clause_vectors[: gap.num_3clauses]:
             for a in range(3):
                 for b in range(a + 1, 3):
                     assert vecs[a].dot_numerator(vecs[b]) == -1
-        for vecs in small_gap.clause_vectors[small_gap.num_3clauses:]:
+        for vecs in gap.clause_vectors[gap.num_3clauses:]:
             for a in range(4):
                 for b in range(a + 1, 4):
                     assert vecs[a].dot_numerator(vecs[b]) == 1
@@ -64,20 +84,23 @@ class TestGeneration:
         with pytest.raises(DomainError):
             G.gen_gap_instance(11, 10, 10, seed=0)
 
+    def test_n_beyond_the_variable_key_rejected(self):
+        with pytest.raises(DomainError):
+            G.gen_gap_instance(2**20 + 1, 1, 1, seed=0)
+
     def test_deterministic(self):
         a = G.gen_gap_instance(24, 50, 50, seed=3)
         b = G.gen_gap_instance(24, 50, 50, seed=3)
         assert a.instance == b.instance and a.variables == b.variables
 
-    def test_file_round_trip(self, small_gap):
-        text_i = P.format_instance(small_gap.instance)
-        text_v = P.format_vectors(small_gap.vector_assignment(),
-                                  small_gap.sparse_rows())
-        back = G.load_gap(text_i, text_v)
+    def test_file_round_trip(self, small_gap, loaded_gap):
+        back = loaded_gap
         assert back.variables == small_gap.variables
         assert back.instance == small_gap.instance
         assert back.num_3clauses == small_gap.num_3clauses
         assert back.num_5clauses == small_gap.num_5clauses
+        assert back.clause_vectors == small_gap.clause_vectors
+        assert len(back.clause_vectors) == SMALL["m3"] + SMALL["m5"]
 
     @pytest.mark.parametrize("vectors", [
         "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n",     # too few variables
@@ -91,6 +114,38 @@ class TestGeneration:
         from naeopt.core import GramConfig, validate_gram
         va = small_gap.vector_assignment()
         assert validate_gram(GramConfig.from_vectors(va.vectors[:50])).accepted
+
+
+class TestPinnedOutputs:
+    """Digests of the generated files, an evaluation, moment estimates and
+    sunflower draws, computed before generation was vectorized: the array
+    path must reproduce every one bit for bit."""
+
+    @pytest.mark.parametrize("args, digest", [
+        ((48, 400, 400, 13),
+         "497c5fcc92f30b23958c4530295b9eaf28b46a5142b1d15aa66f67ce4843adb0"),
+        ((12, 300, 200, 9),
+         "c31bf22b27f35fc348046b5082f33c99f6e8b4b4052f7b652ed861f5596b434f"),
+    ])
+    def test_instance_and_vector_files(self, args, digest):
+        assert _sha("".join(_files(G.gen_gap_instance(*args)))) == digest
+
+    def test_evaluation(self, loaded_gap):
+        res = G.evaluate_gap(loaded_gap, (G.P1_STAR, 0.0), trials=20, seed=13,
+                             moment_samples=10**5)
+        assert _sha(repr(res)) == \
+            "3adf1707edea5e0fd44f319f0267b572f2f893723af9a3739c5965fae0c6191a"
+
+    def test_assignment_moments(self):
+        got = [G.assignment_moments(rule, 48, samples=10**5, seed=6)
+               for rule in ((0.3, 0.1), (G.P1_STAR, 0.0))]
+        assert _sha(repr(got)) == \
+            "af2517be4c8ab37113e35fca50b7a517b68af4d6496af31a9efb5b30febc1939"
+
+    def test_sunflower_samples(self):
+        got = [G.sunflower_sample(30, k, s) for k in (1, 2, 4, 5) for s in range(5)]
+        assert _sha(repr(got)) == \
+            "b6042b872bfce5945aca610b92fedd30a10f0c780c9a3ea9c8881e8e9f254ff3"
 
 
 class TestWitnesses:
@@ -163,6 +218,13 @@ class TestAssignmentMoments:
             slack = 3 * (f2.std_error + f4.std_error) + 10.0 / n
             assert f4.value >= f2.value**2 - slack
 
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        with pytest.raises(DomainError):
+            G.assignment_moments((0.3, 0.1), 48, samples=samples)
+        with pytest.raises(DomainError):
+            G.assignment_moments(lambda rep: 1, 48, samples=samples)
+
 
 class TestEvaluateGap:
     def test_tuned_rule_three_way_agreement(self, small_gap):
@@ -186,6 +248,11 @@ class TestEvaluateGap:
                              moment_samples=10**4)
         assert res.std_error == 0.0
         assert abs(res.fraction - res.expected_fraction) < 1e-12
+
+    @pytest.mark.parametrize("trials", [-1, 0])
+    def test_no_trials_rejected(self, small_gap, trials):
+        with pytest.raises(DomainError):
+            G.evaluate_gap(small_gap, (G.P1_STAR, 0.0), trials=trials, moment_samples=10)
 
 
 class TestSoundnessUpper:

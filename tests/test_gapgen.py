@@ -94,13 +94,12 @@ class TestGeneration:
         assert a.instance == b.instance and a.variables == b.variables
 
     def test_file_round_trip(self, small_gap, loaded_gap):
-        back = loaded_gap
-        assert back.variables == small_gap.variables
-        assert back.instance == small_gap.instance
-        assert back.num_3clauses == small_gap.num_3clauses
-        assert back.num_5clauses == small_gap.num_5clauses
-        assert back.clause_vectors == small_gap.clause_vectors
-        assert len(back.clause_vectors) == SMALL["m3"] + SMALL["m5"]
+        assert loaded_gap.variables == small_gap.variables
+        assert loaded_gap.instance == small_gap.instance
+        assert loaded_gap.num_3clauses == small_gap.num_3clauses
+        assert loaded_gap.num_5clauses == small_gap.num_5clauses
+        assert loaded_gap.clause_vectors == small_gap.clause_vectors
+        assert len(loaded_gap.clause_vectors) == SMALL["m3"] + SMALL["m5"]
 
     @pytest.mark.parametrize("vectors", [
         "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n",     # too few variables

@@ -30,6 +30,10 @@ from .errors import DomainError
 
 _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every tolerance
 
+# |rho| up to this is a correlation, past 1 only by rounding: np.arange(-1, 1
+# + 1e-12, 0.02) ends at 1 + 1.8e-15; such a rho is taken as +-1
+_RHO_BOUND = 1.0 + 1e-12
+
 # Monte Carlo samples drawn per batch, bounding the memory of one call
 _MOMENT_MC_BATCH = 10**6
 _WITNESS_BATCH = 5 * 10**6
@@ -71,53 +75,15 @@ def probit(p) -> float:
 # bivariate normal rectangles
 
 
-def _bvn_cdf(h, k, rho: float):
-    """P(X <= h, Y <= k) for standard bivariate normals with correlation rho.
+_NEG_INF_ZERO, _ZERO_INF = np.array([-np.inf, 0.0]), np.array([0.0, np.inf])
 
-    Owen (1956): Phi2(h,k) = (Phi(h)+Phi(k))/2 - T(h,a_h) - T(k,a_k) - delta
-    with a_h = (k - rho h)/(h sqrt(1-rho^2)) and delta = 1/2 iff hk < 0.
-    Zero arguments are handled by the closed form
-    Phi2(0,k) = Phi(k)/2 - T(k, -rho/sqrt(1-rho^2)).  Requires |rho| < 1.
-    """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    h, k = np.broadcast_arrays(h, k)
-    out = np.empty(h.shape, dtype=float)
 
-    root = np.sqrt((1.0 - rho) * (1.0 + rho))
-
-    neg_inf = np.isneginf(h) | np.isneginf(k)
-    h_inf = np.isposinf(h) & ~neg_inf
-    k_inf = np.isposinf(k) & ~neg_inf & ~h_inf
-    finite = ~(neg_inf | h_inf | k_inf)
-
-    out[neg_inf] = 0.0
-    if np.any(h_inf):
-        out[h_inf] = ndtr(np.where(np.isposinf(k), np.inf, k))[h_inf]
-    if np.any(k_inf):
-        out[k_inf] = ndtr(h)[k_inf]
-
-    hf, kf = h[finite], k[finite]
-    res = np.empty(hf.shape, dtype=float)
-    hz, kz = hf == 0.0, kf == 0.0
-
-    m = hz  # covers the double-zero case: Phi2(0,0) = 1/4 + arcsin(rho)/(2 pi)
-    if np.any(m):
-        res[m] = 0.5 * ndtr(kf[m]) - owens_t(kf[m], -rho / root)
-    m = kz & ~hz
-    if np.any(m):
-        res[m] = 0.5 * ndtr(hf[m]) - owens_t(hf[m], -rho / root)
-    m = ~(hz | kz)
-    if np.any(m):
-        hg, kg = hf[m], kf[m]
-        with np.errstate(divide="ignore", over="ignore"):
-            ah = (kg - rho * hg) / (hg * root)
-            ak = (hg - rho * kg) / (kg * root)
-        delta = np.where(hg * kg < 0.0, 0.5, 0.0)
-        res[m] = (0.5 * (ndtr(hg) + ndtr(kg))
-                  - owens_t(hg, ah) - owens_t(kg, ak) - delta)
-    out[finite] = res
-    return np.clip(out, 0.0, 1.0)
+def _finite_span(e: np.ndarray):
+    """Bounds of the finite entries of ascending edges e, and the slice of
+    the zeros among them."""
+    lo, zeros_end = np.searchsorted(e, _NEG_INF_ZERO, "right")
+    zeros_start, hi = np.searchsorted(e, _ZERO_INF)
+    return lo, hi, slice(zeros_start - lo, zeros_end - lo)
 
 
 def binormal_rect(rho: float, x_lo, x_hi, y_lo, y_hi) -> float:
@@ -126,28 +92,58 @@ def binormal_rect(rho: float, x_lo, x_hi, y_lo, y_hi) -> float:
     Bounds may be +-inf.  |rho| = 1 collapses to one dimension and is
     evaluated exactly.
     """
+    if not abs(rho) <= _RHO_BOUND:
+        raise DomainError("rho must lie in [-1, 1]")
     if x_lo > x_hi or y_lo > y_hi:
         raise DomainError("need x_lo <= x_hi and y_lo <= y_hi")
     if abs(rho) >= 1.0:  # Y = X or Y = -X
         y_lo, y_hi = (y_lo, y_hi) if rho > 0 else (-y_hi, -y_lo)
         return float(max(0.0, ndtr(min(x_hi, y_hi)) - ndtr(max(x_lo, y_lo))))
-    F = _bvn_cdf(np.array([[x_hi, x_hi], [x_lo, x_lo]]),
-                 np.array([[y_hi, y_lo], [y_hi, y_lo]]), rho)
-    return float(max(0.0, F[0, 0] - F[0, 1] - F[1, 0] + F[1, 1]))
+    return float(rect_lattice(np.array([x_lo, x_hi]), np.array([y_lo, y_hi]), rho)[0, 0])
 
 
 def rect_lattice(edges_x: np.ndarray, edges_y: np.ndarray, rho: float) -> np.ndarray:
     """Matrix of cell-pair probabilities for the partitions given by edges.
 
-    Entry (i, j) is P[(X,Y) in cell_i x cell_j]; computed from one CDF
-    lattice by second differences, so an (n x m) table costs (n+1)(m+1)
-    CDF evaluations.
+    Entry (i, j) is P[(X,Y) in cell_i x cell_j], the second difference of
+    the CDF lattice Phi2(h, k) = P(X <= h, Y <= k) at the ascending edges
+    h, k (repeats and +-inf allowed), so an (n x m) table costs (n+1)(m+1)
+    CDF values.  On the finite block, Owen (1956):
+    Phi2(h,k) = (Phi(h)+Phi(k))/2 - T(h,a_h) - T(k,a_k) - delta with
+    a_h = (k - rho h)/(h sqrt(1-rho^2)) and delta = 1/2 iff hk < 0; the rows
+    and columns at 0 take the closed form
+    Phi2(0,k) = Phi(k)/2 - T(k, -rho/sqrt(1-rho^2)); those at -inf are 0 and
+    those at +inf are Phi of the other edge.  When edges_x is edges_y,
+    a_k[i,j] is the expression a_h[j,i], so one T matrix serves both terms.
+    The absolute error grows as rho -> 1, to 9.5e-10 at rho = 1 - 1e-15;
+    f2l_symmetric is the accurate route there.
     """
+    if not abs(rho) <= _RHO_BOUND:
+        raise DomainError("rho must lie in [-1, 1]")
     if abs(rho) >= 1.0:  # degenerate: Y = rho*X exactly
         return np.array([[binormal_rect(rho, x_lo, x_hi, y_lo, y_hi)
                           for y_lo, y_hi in zip(edges_y[:-1], edges_y[1:])]
                          for x_lo, x_hi in zip(edges_x[:-1], edges_x[1:])])
-    F = _bvn_cdf(edges_x[:, None], edges_y[None, :], rho)
+    same = edges_x is edges_y
+    root = np.sqrt((1.0 - rho) * (1.0 + rho))
+    xlo, xhi, xzero = _finite_span(edges_x)
+    ylo, yhi, yzero = (xlo, xhi, xzero) if same else _finite_span(edges_y)
+    h, k = edges_x[xlo:xhi], edges_y[ylo:yhi]
+    nh = ndtr(h)
+    nk = nh if same else ndtr(k)
+    H, K = h[:, None], k[None, :]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        th = owens_t(H, (K - rho * H) / (H * root))
+        tk = th.T if same else owens_t(K, (H - rho * K) / (K * root))
+        fin = 0.5 * (nh[:, None] + nk) - th - tk - 0.5 * (H * K < 0.0)
+    fin[xzero] = 0.5 * nk - owens_t(k, -rho / root)
+    fin[:, yzero] = (0.5 * nh - owens_t(h, -rho / root))[:, None]
+    F = np.zeros((len(edges_x), len(edges_y)))
+    F[xlo:xhi, ylo:yhi] = fin
+    F[xhi:, ylo:yhi] = nk
+    F[xlo:xhi, yhi:] = nh[:, None]
+    F[xhi:, yhi:] = 1.0
+    np.minimum(np.maximum(F, 0.0, out=F), 1.0, out=F)
     M = F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
     np.maximum(M, 0.0, out=M)
     return M
@@ -176,15 +172,16 @@ def noise_operator(f: StepFunction, eta: float, x):
 
 def _noise_sum(f: StepFunction, eta: float, s: float, x: np.ndarray) -> np.ndarray:
     """U_eta f at x given s = sqrt(1 - eta^2), for 0 <= eta < 1."""
-    a = np.concatenate([[0.0], f.breakpoints, [np.inf]])
-    tot = np.zeros(x.shape)
     ex = eta * x
+    # Phi((t - eta x)/s) at t = a_i and t = -a_i, with a_0 = 0 and the last
+    # a = inf, once per distinct edge
+    up = [ndtr((t - ex) / s) for t in (0.0, *f.breakpoints)] + [1.0]
+    down = up[:1] + [ndtr((-t - ex) / s) for t in f.breakpoints] + [0.0]
+    tot = np.zeros(x.shape)
     for i, b in enumerate(f.values):
         if b == 0.0:
             continue
-        lo, hi = a[i], a[i + 1]
-        tot += b * (ndtr((hi - ex) / s) - ndtr((lo - ex) / s)
-                    - ndtr((-lo - ex) / s) + ndtr((-hi - ex) / s))
+        tot += b * (up[i + 1] - up[i] - down[i] + down[i + 1])
     return tot
 
 
@@ -194,6 +191,8 @@ def f2(f: StepFunction, rho: float) -> float:
     Computed as a signed double sum of exact rectangle probabilities over
     the step cells; rho = +-1 short-circuits to +-int f^2 phi.
     """
+    if not abs(rho) <= _RHO_BOUND:
+        raise DomainError("rho must lie in [-1, 1]")
     if abs(rho) >= 1.0:
         total = _symmetric_integral(f, 1.0, np.square)
         return total if rho > 0 else -total
@@ -391,13 +390,17 @@ def f4_negative_witness(delta: float, eps: float, samples: int = 10**8,
     with far smaller variance.  For small eps the estimate is negative even
     though every pairwise bias is positive.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise DomainError("eps must be positive and finite")
     v = f4_witness_vectors(delta)
     rng = np.random.default_rng(seed)
 
     def draw(m: int) -> np.ndarray:
-        t = rng.standard_normal((m, 3)) @ v.T
+        # v_1 = e_1, so v_1 . u is z[:, 0] exactly, and only the draws with
+        # it in the window can be determined
+        z = rng.standard_normal((m, 3))
+        first = np.abs(z[:, 0])
+        t = z[(first >= eps) & (first < 1.5 * eps)] @ v.T
         a = np.abs(t)
         det = ((a >= eps) & (a < 1.5 * eps)).all(axis=1)
         return np.prod(np.sign(t[det]), axis=1)

@@ -177,6 +177,13 @@ class TestWitnessCommand:
         assert payload["estimate"] == -payload["determined"] / payload["samples"]
         assert payload["bias_first_row"] > 0 and payload["bias_petals"] > 0
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_eps_outside_the_domain_exits_2(self, tmp_path, capsys, eps):
+        assert run(tmp_path, "witness", "f4neg", "--delta", "0.1", "--eps", eps,
+                   "--samples", "1000", "--out", str(tmp_path / "v")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "v_witness.json").exists()
+
 
 class TestExitCodes:
     def test_usage_error(self, tmp_path):

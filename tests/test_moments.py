@@ -1,12 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
-from naeopt.core import SIGN, GramConfig, StepFunction, equal_mass_edges
+from naeopt.core import SIGN, GramConfig, StepFunction, equal_mass_edges, gaussian_pdf
 from naeopt.errors import DomainError
-from naeopt import moments as M
+from naeopt import fredholm, moments as M
 
 from conftest import random_step_function
 
@@ -108,6 +110,69 @@ class TestBinormalRect:
             assert np.allclose(m.sum(axis=1), 1 / 8, atol=1e-12)
             assert np.allclose(m, m.T, atol=1e-13)
             assert abs(m.sum() - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.99])
+    def test_empty_intervals_at_repeated_edges(self, rho):
+        for lo_hi in ((np.inf, np.inf), (-np.inf, -np.inf), (0.0, 0.0)):
+            assert M.binormal_rect(rho, *lo_hi, -np.inf, np.inf) == 0.0
+            assert M.binormal_rect(rho, -np.inf, np.inf, *lo_hi) == 0.0
+        # a full line on one axis leaves the other axis's normal mass
+        assert M.binormal_rect(rho, -np.inf, np.inf, -np.inf, 0.7) == pytest.approx(
+            ndtr(0.7), abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.9])
+    def test_zero_edges_on_both_axes(self, rho):
+        q = 0.25 + math.asin(rho) / (2 * math.pi)
+        assert abs(M.binormal_rect(rho, -np.inf, 0.0, -np.inf, 0.0) - q) < 1e-15
+        assert abs(M.binormal_rect(rho, 0.0, np.inf, 0.0, np.inf) - q) < 1e-15
+        e = np.array([-np.inf, 0.0, np.inf])
+        assert np.allclose(M.rect_lattice(e, e, rho), [[q, 0.5 - q], [0.5 - q, q]],
+                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("h,k,rho,want", [o for o in BVN_CDF_ORACLE if o[0] > 0])
+    def test_zero_edge_on_one_axis(self, h, k, rho, want):
+        # cells (-inf, 0] and (0, h] in x against (-inf, k] in y: their sum
+        # is the oracle's Phi2(h, k), and the first is a quadrature in x
+        m = M.rect_lattice(np.array([-np.inf, 0.0, h, np.inf]), np.array([-np.inf, k, np.inf]),
+                           rho)
+        assert abs(m[0, 0] + m[1, 0] - want) < 1e-10
+        s = math.sqrt(1 - rho * rho)
+        below, _ = quad(lambda x: gaussian_pdf(x) * ndtr((k - rho * x) / s), -12.0, 0.0,
+                        epsabs=1e-14, epsrel=1e-13)
+        assert abs(m[0, 0] - below) < 1e-12
+        assert abs(M.binormal_rect(rho, -np.inf, 0.0, -np.inf, k) - below) < 1e-12
+
+    @pytest.mark.parametrize("n", [8, 40, 101])
+    @pytest.mark.parametrize("rho", [-0.99, -0.3, 0.6])
+    def test_half_lattice_as_fredholm_takes_it(self, n, rho):
+        # e[:n//2+1] x e ends at an edge, 0 for even n, with no +inf row;
+        # it is the square lattice's first rows, and for even n its mass
+        # is the orthant P(X <= 0) = 1/2
+        e = equal_mass_edges(n)
+        half = M.rect_lattice(e[: n // 2 + 1], e, rho)
+        assert np.array_equal(half, M.rect_lattice(e, e, rho)[: n // 2])
+        assert np.allclose(half.sum(axis=1), 1 / n, rtol=0, atol=1e-12)
+        if n % 2 == 0:
+            assert abs(half.sum() - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("rho", [math.nan, 2.0, -1.5, math.inf, 1.0 + 1e-9])
+    def test_rho_outside_the_range_rejected(self, rho):
+        e = equal_mass_edges(4)
+        with pytest.raises(DomainError):
+            M.binormal_rect(rho, 0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            M.rect_lattice(e, e, rho)
+        with pytest.raises(DomainError):
+            M.f2(SIGN, rho)
+
+    def test_rho_past_one_by_rounding_is_one(self):
+        # np.arange grids, as in the moment property suite, end at 1 + 1.8e-15
+        top = np.arange(-1.0, 1.0 + 1e-12, 0.02)[-1]
+        assert top > 1.0
+        f = StepFunction((0.8,), (0.3, 1.0))
+        assert M.f2(f, top) == M.f2(f, 1.0) and M.f2(f, -top) == M.f2(f, -1.0)
+        e = equal_mass_edges(4)
+        assert np.array_equal(M.rect_lattice(e, e, top), M.rect_lattice(e, e, 1.0))
 
 
 class TestNoiseOperator:
@@ -344,6 +409,27 @@ class TestF4NegativeWitness:
         with pytest.raises(DomainError):
             M.f4_negative_witness(0.1, 0.2, samples=samples)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.2, math.nan, math.inf])
+    def test_eps_domain(self, eps):
+        with pytest.raises(DomainError):
+            M.f4_negative_witness(0.1, eps, samples=10)
+
+    @pytest.mark.parametrize("eps,seed", [(0.5, 0), (0.5, 7), (0.2, 3), (0.05, 1)])
+    def test_prefilter_matches_the_full_product(self, monkeypatch, eps, seed):
+        # batches of 3e5 over 10^6 samples: three full batches and a short one
+        monkeypatch.setattr(M, "_WITNESS_BATCH", 300_000)
+        v = M.f4_witness_vectors(0.1)
+        rng = np.random.default_rng(seed)
+
+        def draw(m):
+            t = rng.standard_normal((m, 3)) @ v.T
+            a = np.abs(t)
+            det = ((a >= eps) & (a < 1.5 * eps)).all(axis=1)
+            return np.prod(np.sign(t[det]), axis=1)
+
+        want = M._mc_estimate(draw, 10**6, 300_000)
+        assert M.f4_negative_witness(0.1, eps, samples=10**6, seed=seed) == want
+
 
 class TestMomentEstimate:
     def test_exact_has_zero_error(self):
@@ -353,3 +439,43 @@ class TestMomentEstimate:
     def test_negative_error_rejected(self):
         with pytest.raises(DomainError):
             M.MomentEstimate(0.0, -1.0, 10)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def _criterion_8_suite():
+    rng = np.random.default_rng(511)
+    return [random_step_function(rng) for _ in range(200)]
+
+
+# 0 .. 1 in steps of 0.05, then 1 - 10^-3 .. 1 - 10^-15
+_NEAR_ONE = np.concatenate([np.linspace(0.0, 1.0, 21), 1.0 - np.logspace(-3, -15, 13)])
+
+
+class TestBitPins:
+    """Digests of moment values from the kernels as they were before the
+    lattice, the noise sum and the witness were reworked, which was to
+    change no bit of them."""
+
+    def test_f2_on_the_criterion_8_grids(self):
+        grids = (np.linspace(-1, 1, 21), np.linspace(0, 1, 21),
+                 np.arange(-1.0, 1.0 + 1e-12, 0.02))
+        vals = [M.f2(f, r) for f in _criterion_8_suite() for g in grids for r in g]
+        assert _digest(vals) == "50d837b9f847bee6675d114830d5e2beb566ae6188dfe27d989abf505e250c4b"
+
+    def test_symmetric_moments_up_to_one(self):
+        suite = _criterion_8_suite()[:20]
+        vals = [(M.sat_prob_symmetric(f, 5, r), M.f2l_symmetric(f, r, 2))
+                for f in suite for r in _NEAR_ONE]
+        assert _digest(vals) == "20b998cafcb5d92a3ccdcf14512cdc0736514565c7f8d7752c723f50ffd6a8d5"
+
+    def test_owens_t_fallback_kernel(self):
+        assert _digest(fredholm._reduced_kernel(100, -0.99)) == "bd5004ac31f9fbe3795617484ca6b24277956d08b369e5c50c4694bb608d86c3"
+
+    def test_witness_estimates(self):
+        got = [tuple(vars(M.f4_negative_witness(0.1, 0.5, samples=4 * 10**6, seed=s)).values())
+               for s in (11, 12)]
+        assert got == [(-4.5e-06, 1.0606577852917498e-06, 4000000, 18),
+                       (-3e-06, 8.660241047453587e-07, 4000000, 12)]

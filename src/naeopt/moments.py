@@ -75,14 +75,11 @@ def probit(p) -> float:
 # bivariate normal rectangles
 
 
-_NEG_INF_ZERO, _ZERO_INF = np.array([-np.inf, 0.0]), np.array([0.0, np.inf])
-
-
 def _finite_span(e: np.ndarray):
     """Bounds of the finite entries of ascending edges e, and the slice of
     the zeros among them."""
-    lo, zeros_end = np.searchsorted(e, _NEG_INF_ZERO, "right")
-    zeros_start, hi = np.searchsorted(e, _ZERO_INF)
+    lo, zeros_end = np.searchsorted(e, (-np.inf, 0.0), "right")
+    zeros_start, hi = np.searchsorted(e, (0.0, np.inf))
     return lo, hi, slice(zeros_start - lo, zeros_end - lo)
 
 
@@ -94,7 +91,7 @@ def binormal_rect(rho: float, x_lo, x_hi, y_lo, y_hi) -> float:
     """
     if not abs(rho) <= _RHO_BOUND:
         raise DomainError("rho must lie in [-1, 1]")
-    if x_lo > x_hi or y_lo > y_hi:
+    if not (x_lo <= x_hi and y_lo <= y_hi):  # NaN bounds fail too
         raise DomainError("need x_lo <= x_hi and y_lo <= y_hi")
     if abs(rho) >= 1.0:  # Y = X or Y = -X
         y_lo, y_hi = (y_lo, y_hi) if rho > 0 else (-y_hi, -y_lo)
@@ -143,7 +140,7 @@ def rect_lattice(edges_x: np.ndarray, edges_y: np.ndarray, rho: float) -> np.nda
     F[xhi:, ylo:yhi] = nk
     F[xlo:xhi, yhi:] = nh[:, None]
     F[xhi:, yhi:] = 1.0
-    np.minimum(np.maximum(F, 0.0, out=F), 1.0, out=F)
+    np.clip(F, 0.0, 1.0, out=F)
     M = F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
     np.maximum(M, 0.0, out=M)
     return M

@@ -103,6 +103,11 @@ class TestBinormalRect:
         with pytest.raises(DomainError):
             M.binormal_rect(0.0, 1.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.nan)])
+    def test_nan_bounds_rejected(self, bounds):
+        with pytest.raises(DomainError):
+            M.binormal_rect(0.3, *bounds)
+
     def test_lattice_row_sums(self):
         edges = equal_mass_edges(8)
         for rho in (-1.0, -0.9, -0.3, 0.0, 0.7, 1.0):
@@ -429,6 +434,12 @@ class TestF4NegativeWitness:
 
         want = M._mc_estimate(draw, 10**6, 300_000)
         assert M.f4_negative_witness(0.1, eps, samples=10**6, seed=seed) == want
+        # few draws are determined, so check the projections row by row too
+        z = np.random.default_rng(seed).standard_normal((10**6, 3))
+        first = np.abs(z[:, 0])
+        keep = (first >= eps) & (first < 1.5 * eps)
+        assert keep.sum() > 10**4
+        assert np.array_equal(z[keep] @ v.T, (z @ v.T)[keep])
 
 
 class TestMomentEstimate:

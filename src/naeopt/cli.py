@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, fredholm, gapgen, hardness, hermite, pipeline, stepopt
-from .core import GridFunction, HardDistribution, StepFunction
+from . import __version__, fredholm, gapgen, hardness, hermite, moments, pipeline, stepopt
+from .core import SIGN, HardDistribution, StepFunction
 from .errors import DomainError, NaeoptError, StructuralError
 
 
@@ -96,7 +96,7 @@ def parse_f_spec(spec: str) -> StepFunction:
     """Inline JSON {"a": [...], "b": [...]}, a path to such JSON, the word
     'sign', or 'slin:<s>' (an s-linear ramp discretized to 400 steps)."""
     if spec == "sign":
-        return StepFunction((), (1.0,))
+        return SIGN
     if spec.startswith("slin:"):
         try:
             s = float(spec.split(":", 1)[1])
@@ -168,8 +168,6 @@ def cmd_curve(args) -> None:
 
 
 def cmd_bound(args) -> None:
-    if args.target != "nae35":
-        raise NaeoptError(f"unknown bound target {args.target!r}")
     run = _Runner(args, "naeopt_bound_nae35")
     b = hardness.nae35_bound()
     run.write_json("_bound.json", {
@@ -188,7 +186,7 @@ def cmd_gap_gen(args) -> None:
         gap.vector_assignment(), sparse_signs=gap.sparse_rows()))
     run.write_json("_gen.json", {
         "n": args.n, "m3": args.m3, "m5": args.m5, "seed": args.seed,
-        "variables": len(gap.variables), "total_weight": gap.instance.total_weight,
+        "variables": gap.instance.num_vars, "total_weight": gap.instance.total_weight,
     })
     run.finish("gap gen")
 
@@ -273,13 +271,10 @@ def cmd_round(args) -> None:
 
 
 def cmd_witness(args) -> None:
-    if args.target != "f4neg":
-        raise NaeoptError(f"unknown witness target {args.target!r}")
     run = _Runner(args, "naeopt_witness_f4neg")
-    from .moments import f4_negative_witness, f4_witness_vectors
-    v = f4_witness_vectors(args.delta)
+    v = moments.f4_witness_vectors(args.delta)
     gram = v @ v.T
-    est = f4_negative_witness(args.delta, args.eps, samples=args.samples, seed=args.seed)
+    est = moments.f4_negative_witness(args.delta, args.eps, samples=args.samples, seed=args.seed)
     z99 = 2.3263478740408408  # one-sided 99% normal quantile
     run.write_json("_witness.json", {
         "delta": args.delta, "eps": args.eps, "samples": args.samples,

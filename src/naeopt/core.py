@@ -21,8 +21,9 @@ All types are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -30,7 +31,6 @@ from scipy.special import ndtri
 from .errors import DomainError, StructuralError
 
 PSD_TOL = 1e-9
-UNIT_NORM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +344,19 @@ class NAEInstance:
     @property
     def total_weight(self) -> float:
         return sum(c.weight for c in self.clauses)
+
+    @cached_property
+    def clause_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only (literals (m, k), weights (m,)) per clause size k, in order of first use."""
+        by_size: dict[int, list[Clause]] = {}
+        for cl in self.clauses:
+            by_size.setdefault(len(cl.literals), []).append(cl)
+        groups = tuple((np.array([c.literals for c in cls]), np.array([c.weight for c in cls]))
+                       for cls in by_size.values())
+        for lits, weights in groups:
+            lits.setflags(write=False)
+            weights.setflags(write=False)
+        return groups
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,6 @@ class FredholmSolution:
     residual: float           # l2 norm of the interior stationarity residual
     soundness: float
     completeness: float
-    consistent: bool
     dist: HardDistribution
 
 
@@ -410,8 +409,7 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
     """
     i_a, f, s, R, lam = _search(dist, n, hint)
     return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
-                            _interior_residual(f, R, lam, i_a, n), s,
-                            completeness(dist), True, dist)
+                            _interior_residual(f, R, lam, i_a, n), s, completeness(dist), dist)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import Clause, NAEInstance, VectorAssignment
 from .errors import DomainError, StructuralError
-from .hardness import BOUND, F2_STAR, P_STAR, mixture_value
+from .hardness import F2_STAR, P_STAR, mixture_value
 from .moments import MomentEstimate
 from . import pipeline
 
@@ -80,12 +80,6 @@ class SparseVec:
         """3 * (self . other), an exact integer."""
         mine = dict(zip(self.indices, self.signs))
         return sum(s * mine[i] for i, s in zip(other.indices, other.signs) if i in mine)
-
-    def dense(self, n: int) -> np.ndarray:
-        v = np.zeros(n)
-        for i, s in zip(self.indices, self.signs):
-            v[i] = s / SQRT3
-        return v
 
 
 def _petal_cols(k: int) -> list[tuple[int, int, int]]:
@@ -129,13 +123,23 @@ def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
     return _sparse_vecs(*_vector_rows(idx, s, _petal_cols(k)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapInstance:
     n: int
     num_3clauses: int
     num_5clauses: int
-    variables: tuple[SparseVec, ...]    # canonical representative per variable id
+    indices: np.ndarray     # (V, 3) read-only; row v-1 is variable v's increasing indices
+    signs: np.ndarray       # (V, 3) read-only +-1, >= 2 positive: canonical representatives
     instance: NAEInstance
+
+    def __post_init__(self):
+        self.indices.setflags(write=False)
+        self.signs.setflags(write=False)
+
+    @cached_property
+    def variables(self) -> tuple[SparseVec, ...]:
+        """The rows as SparseVec objects, built on first use."""
+        return _sparse_vecs(self.indices, self.signs)
 
     @cached_property
     def clause_vectors(self) -> tuple[tuple[SparseVec, ...], ...]:
@@ -144,19 +148,19 @@ class GapInstance:
         return tuple(tuple(self.variables[l - 1] if l > 0 else neg[-l - 1] for l in c.literals)
                      for c in self.instance.clauses)
 
-    @cached_property
+    @property
     def positives(self) -> np.ndarray:
         """Positive-sign count (2 or 3) of each variable's representative."""
-        out = np.array([v.positives for v in self.variables], dtype=np.int8)
-        out.setflags(write=False)
-        return out
+        return (self.signs > 0).sum(axis=1)
 
     def vector_assignment(self) -> VectorAssignment:
-        return VectorAssignment(np.vstack([v.dense(self.n) for v in self.variables]))
+        vectors = np.zeros((len(self.indices), self.n))
+        np.put_along_axis(vectors, self.indices, self.signs / SQRT3, axis=1)
+        return VectorAssignment(vectors)
 
     def sparse_rows(self) -> dict[int, tuple]:
-        return {vid: tuple(zip(v.indices, v.signs))
-                for vid, v in enumerate(self.variables, start=1)}
+        return {vid: tuple(zip(ind, sg)) for vid, (ind, sg)
+                in enumerate(zip(self.indices.tolist(), self.signs.tolist()), start=1)}
 
 
 def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
@@ -186,8 +190,7 @@ def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
     clauses = [Clause(WEIGHT_3 / m3, tuple(c)) for c in lits[:3 * m3].reshape(m3, 3).tolist()]
     clauses += [Clause(WEIGHT_5 / m5, tuple(c)) for c in lits[3 * m3:].reshape(m5, 5).tolist()]
     rep = np.sort(first)
-    return GapInstance(n, m3, m5, _sparse_vecs(ind[rep], sg[rep]),
-                       NAEInstance(first.size, tuple(clauses)))
+    return GapInstance(n, m3, m5, ind[rep], sg[rep], NAEInstance(first.size, tuple(clauses)))
 
 
 def load_gap(instance_text: str, vector_text: str) -> GapInstance:
@@ -200,10 +203,11 @@ def load_gap(instance_text: str, vector_text: str) -> GapInstance:
     if num_vars != inst.num_vars or not all(isinstance(r, tuple) for r in rows.values()):
         raise StructuralError("gap vectors must be sparse rows, one per instance variable")
     pairs = np.array([rows[vid] for vid in range(1, num_vars + 1)])
-    variables = _sparse_vecs(*_vector_rows(pairs[..., 0], pairs[..., 1], [(0, 1, 2)]))
-    m3 = sum(1 for c in inst.clauses if len(c.literals) == 3)
-    m5 = sum(1 for c in inst.clauses if len(c.literals) == 5)
-    return GapInstance(n, m3, m5, variables, inst)
+    indices, signs = _vector_rows(pairs[..., 0], pairs[..., 1], [(0, 1, 2)])
+    if np.any((signs > 0).sum(axis=1) < 2):
+        raise StructuralError("gap vector rows must be canonical: at least 2 positive signs")
+    sizes = {lits.shape[1]: len(lits) for lits, _ in inst.clause_groups}
+    return GapInstance(n, sizes.get(3, 0), sizes.get(5, 0), indices, signs, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +332,7 @@ def expected_fraction(gap: GapInstance, rule: tuple[float, float]) -> tuple[floa
     mu_var = np.where(gap.positives == 3, 2.0 * p1 - 1.0, 2.0 * p2 - 1.0)
     total = 0.0
     var_acc = 0.0
-    for lits, w in pipeline.clause_arrays(gap.instance):
+    for lits, w in gap.instance.clause_groups:
         mu = mu_var[np.abs(lits) - 1] * np.sign(lits)
         e_sat = 1.0 - np.prod((1.0 + mu) / 2.0, axis=1) - np.prod((1.0 - mu) / 2.0, axis=1)
         total += float(np.dot(w, e_sat))
@@ -352,7 +356,7 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
         raise DomainError("need at least one trial")
     p1, p2 = rule
     rng = np.random.default_rng(seed)
-    rep_pos = np.broadcast_to(gap.positives, (trials, len(gap.variables)))
+    rep_pos = np.broadcast_to(gap.positives, (trials, len(gap.indices)))
     assignments = _rule_coins(rep_pos, p1, p2, rng).astype(np.int8)
     fracs = pipeline.evaluate_many(gap.instance, assignments)
     mean = float(fracs.mean())

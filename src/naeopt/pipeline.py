@@ -207,21 +207,11 @@ def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
     return sat / inst.total_weight
 
 
-def clause_arrays(inst: NAEInstance):
-    """Yield (literals (m, k), weights (m,)) for each clause size k, in order
-    of first appearance; one size's arrays at a time."""
-    by_size: dict[int, list[Clause]] = {}
-    for cl in inst.clauses:
-        by_size.setdefault(len(cl.literals), []).append(cl)
-    for cls in by_size.values():
-        yield np.array([c.literals for c in cls]), np.array([c.weight for c in cls])
-
-
 def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over rows of assignments, grouped by clause size."""
     assignments = np.atleast_2d(np.asarray(assignments))
     sat = np.zeros(assignments.shape[0])
-    for lits, w in clause_arrays(inst):
+    for lits, w in inst.clause_groups:
         vals = assignments[:, np.abs(lits) - 1] * np.sign(lits)  # (rows, m, k)
         ok = vals.max(axis=2) != vals.min(axis=2)
         sat += ok @ w

@@ -19,13 +19,13 @@ With the +-1 flag only breakpoints move and values alternate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import StepFunction
-from .errors import DomainError
+from .core import SIGN, StepFunction
+from .errors import DomainError, StructuralError
 from .moments import sat_prob_symmetric
 
 # Nelder-Mead tolerances and iteration cap of every start
@@ -91,7 +91,7 @@ def _decode(params: np.ndarray, cfg: StepSearchConfig) -> StepFunction | None:
         b = tuple(np.clip(params[l:], -1.0, 1.0))
     try:
         return StepFunction(tuple(a), b)
-    except Exception:
+    except StructuralError:
         return None
 
 
@@ -125,9 +125,8 @@ def optimize_step(cfg: StepSearchConfig) -> StepSearchResult:
         return -objective_alphaK(f, cfg.clause_sizes)
 
     if nparam == 0:  # single +-1 step: f = sign, nothing to optimize
-        f = StepFunction((), (1.0,))
-        return StepSearchResult(f, objective_alphaK(f, cfg.clause_sizes),
-                                per_size_probs(f, cfg.clause_sizes), 0, True)
+        return StepSearchResult(SIGN, objective_alphaK(SIGN, cfg.clause_sizes),
+                                per_size_probs(SIGN, cfg.clause_sizes), 0, True)
 
     best_val = np.inf
     best_params = None

@@ -188,6 +188,7 @@ class TestWitnessCommand:
 class TestExitCodes:
     def test_usage_error(self, tmp_path):
         assert run(tmp_path, "bound", "unknown-target") == 1
+        assert run(tmp_path, "witness", "bogus") == 1
         assert run(tmp_path, "nonsense") == 1
 
     def test_numeric_error(self, tmp_path):

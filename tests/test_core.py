@@ -8,6 +8,7 @@ from naeopt.core import (
     Clause,
     GramConfig,
     GridFunction,
+    NAEInstance,
     StepFunction,
     odd_part,
     triple_bias_distribution,
@@ -111,6 +112,19 @@ class TestClause:
     def test_weight_must_be_positive_and_finite(self, weight):
         with pytest.raises(StructuralError):
             Clause(weight, (1, 2))
+
+
+class TestNAEInstance:
+    def test_clause_groups_by_size_in_order_of_first_appearance(self):
+        inst = NAEInstance(5, (Clause(1.0, (1, -2, 3)), Clause(2.0, (4, 5)),
+                               Clause(3.0, (-3, 4, 5)), Clause(4.0, (2, -1))))
+        (l3, w3), (l2, w2) = inst.clause_groups
+        assert l3.tolist() == [[1, -2, 3], [-3, 4, 5]] and w3.tolist() == [1.0, 3.0]
+        assert l2.tolist() == [[4, 5], [2, -1]] and w2.tolist() == [2.0, 4.0]
+        assert inst.clause_groups is inst.clause_groups
+        for arr in (l3, w3, l2, w2):
+            assert not arr.flags.writeable
+        assert NAEInstance(2, ()).clause_groups == ()
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,6 @@ class TestOptimalStepFunction:
 
     def test_hard_point_ratio(self, hard_solution):
         sol = hard_solution
-        assert sol.consistent
         ratio = sol.soundness / sol.completeness
         assert abs(ratio - 0.9089169) < 2e-6
         assert abs(sol.completeness - 0.9662149) < 1e-12

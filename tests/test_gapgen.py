@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from naeopt.core import NAEInstance, VectorAssignment
 from naeopt.errors import DomainError, StructuralError
 from naeopt import gapgen as G
 from naeopt import hardness as H
@@ -52,10 +53,13 @@ class TestSparseVec:
 
     def test_unit_norm_and_dot(self):
         v = G.SparseVec((0, 3, 7), (1, -1, 1))
-        assert abs(np.linalg.norm(v.dense(10)) - 1.0) < 1e-15
         w = G.SparseVec((0, 3, 9), (1, 1, 1))
         assert v.dot_numerator(w) == 0       # +1 - 1 on shared coords
-        assert abs(v.dense(10) @ w.dense(10)) < 1e-15
+        gap = G.GapInstance(10, 0, 0, np.array([v.indices, w.indices]),
+                            np.array([v.signs, w.signs]), NAEInstance(2, ()))
+        dv, dw = gap.vector_assignment().vectors
+        assert abs(np.linalg.norm(dv) - 1.0) < 1e-15
+        assert abs(dv @ dw) < 1e-15
 
 
 class TestGeneration:
@@ -104,10 +108,27 @@ class TestGeneration:
     @pytest.mark.parametrize("vectors", [
         "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n",     # too few variables
         "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n3 1 0 0 0 0 0\n",  # dense row
+        "v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:-1\n3 s 1:+1 2:-1 5:-1\n",  # not canonical
     ])
     def test_load_rejects_mismatched_vectors(self, vectors):
         with pytest.raises(StructuralError):
             G.load_gap("p nae 3 1\n1.0 3 1 2 3\n", vectors)
+
+    def test_arrays_match_the_objects(self, gap):
+        variables = gap.variables
+        assert gap.positives.tolist() == [v.positives for v in variables]
+        dense = np.zeros((len(variables), gap.n))
+        for row, v in zip(dense, variables):
+            for i, s in zip(v.indices, v.signs):
+                row[i] = s / math.sqrt(3)
+        got = gap.vector_assignment().vectors.tobytes()
+        assert got == VectorAssignment(dense).vectors.tobytes()
+        assert got == P.parse_vectors(_files(gap)[1]).vectors.tobytes()
+        assert gap.sparse_rows() == {vid: tuple(zip(v.indices, v.signs))
+                                     for vid, v in enumerate(variables, start=1)}
+        for arr in (gap.indices, gap.signs):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
     def test_gram_of_vectors_is_valid(self, small_gap):
         from naeopt.core import GramConfig, validate_gram

@@ -65,6 +65,17 @@ class TestOptimizeStep:
         res = S.optimize_step(S.StepSearchConfig((3, 5), steps=1, pm_one=True))
         assert res.f.breakpoints == () and res.f.values == (1.0,)
 
+    def test_decode_drops_only_invalid_step_functions(self, monkeypatch):
+        cfg = S.StepSearchConfig((3, 5), steps=2, pm_one=False)
+        assert S._decode(np.array([0.0, 0.5, np.nan]), cfg) is None
+
+        def defect(*args):
+            raise RuntimeError("defect")
+
+        monkeypatch.setattr(S, "StepFunction", defect)
+        with pytest.raises(RuntimeError):
+            S._decode(np.array([0.0, 0.5, 0.5]), cfg)
+
     def test_result_is_valid_step_function(self):
         cfg = S.StepSearchConfig((3, 7), steps=2, pm_one=False, restarts=6, seed=1)
         res = S.optimize_step(cfg)

@@ -314,14 +314,20 @@ class Clause:
     def __post_init__(self):
         if not 0.0 < self.weight < math.inf:
             raise StructuralError("clause weights must be positive and finite")
-        if len(self.literals) < 2:
+        try:
+            lits = tuple(map(int, self.literals))
+        except (TypeError, ValueError, OverflowError) as err:
+            raise StructuralError(f"literals must be integers: {err}") from err
+        if lits != tuple(self.literals):
+            raise StructuralError("literals must be integers")
+        if len(lits) < 2:
             raise StructuralError("clauses need at least 2 literals")
-        if any(l == 0 for l in self.literals):
+        vars_ = set(map(abs, lits))
+        if 0 in vars_:
             raise StructuralError("literal 0 is not a variable")
-        vars_ = [abs(l) for l in self.literals]
-        if len(set(vars_)) != len(vars_):
+        if len(vars_) != len(lits):
             raise StructuralError("variables within a clause must be distinct")
-        object.__setattr__(self, "literals", tuple(int(l) for l in self.literals))
+        object.__setattr__(self, "literals", lits)
         object.__setattr__(self, "weight", float(self.weight))
 
 
@@ -333,15 +339,14 @@ class NAEInstance:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
+        n = self.num_vars
         for c in self.clauses:
-            for l in c.literals:
-                if abs(l) > self.num_vars:
-                    raise StructuralError(
-                        f"literal {l} out of range for {self.num_vars} variables"
-                    )
+            if max(map(abs, c.literals)) > n:
+                bad = next(l for l in c.literals if abs(l) > n)
+                raise StructuralError(f"literal {bad} out of range for {n} variables")
         object.__setattr__(self, "clauses", tuple(self.clauses))
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
         return sum(c.weight for c in self.clauses)
 

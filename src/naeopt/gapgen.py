@@ -159,8 +159,8 @@ class GapInstance:
         return VectorAssignment(vectors)
 
     def sparse_rows(self) -> dict[int, tuple]:
-        return {vid: tuple(zip(ind, sg)) for vid, (ind, sg)
-                in enumerate(zip(self.indices.tolist(), self.signs.tolist()), start=1)}
+        rows = map(tuple, map(zip, self.indices.tolist(), self.signs.tolist()))
+        return dict(zip(range(1, len(self.indices) + 1), rows))
 
 
 def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
@@ -187,8 +187,9 @@ def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))  # variable ids in order of first occurrence
     lits = (rank[inverse] + 1) * orient
-    clauses = [Clause(WEIGHT_3 / m3, tuple(c)) for c in lits[:3 * m3].reshape(m3, 3).tolist()]
-    clauses += [Clause(WEIGHT_5 / m5, tuple(c)) for c in lits[3 * m3:].reshape(m5, 5).tolist()]
+    w3, w5 = WEIGHT_3 / m3, WEIGHT_5 / m5
+    clauses = [Clause(w3, tuple(c)) for c in lits[:3 * m3].reshape(m3, 3).tolist()]
+    clauses += [Clause(w5, tuple(c)) for c in lits[3 * m3:].reshape(m5, 5).tolist()]
     rep = np.sort(first)
     return GapInstance(n, m3, m5, ind[rep], sg[rep], NAEInstance(first.size, tuple(clauses)))
 
@@ -199,11 +200,11 @@ def load_gap(instance_text: str, vector_text: str) -> GapInstance:
     Vector rows must be in the sparse form (canonical representatives).
     """
     inst = pipeline.parse_instance(instance_text)
-    num_vars, n, rows = pipeline.read_vector_rows(vector_text)
-    if num_vars != inst.num_vars or not all(isinstance(r, tuple) for r in rows.values()):
+    num_vars, n, (ids, ind, sg), dense = pipeline.read_vector_rows(vector_text)
+    if num_vars != inst.num_vars or dense:
         raise StructuralError("gap vectors must be sparse rows, one per instance variable")
-    pairs = np.array([rows[vid] for vid in range(1, num_vars + 1)])
-    indices, signs = _vector_rows(pairs[..., 0], pairs[..., 1], [(0, 1, 2)])
+    order = np.argsort(ids)
+    indices, signs = _vector_rows(ind[order], sg[order], [(0, 1, 2)])
     if np.any((signs > 0).sum(axis=1) < 2):
         raise StructuralError("gap vector rows must be canonical: at least 2 positive signs")
     sizes = {lits.shape[1]: len(lits) for lits, _ in inst.clause_groups}

@@ -97,11 +97,15 @@ def format_instance(inst: NAEInstance, comment: str | None = None) -> str:
 _SQRT3 = math.sqrt(3.0)
 
 
-def read_vector_rows(text: str) -> tuple[int, int, dict]:
-    """(num_vars, dim, rows) of a vector file; ``rows[id]`` is a float array
-    for a dense row and three (0-based index, sign) pairs for a sparse one."""
+def read_vector_rows(text: str) -> tuple[int, int, tuple, dict]:
+    """(num_vars, dim, (ids, indices, signs), dense) of a vector file: the sparse
+    rows as int arrays in file order, (m,), (m, 3) 0-based and (m, 3), and
+    ``dense[id]``, a dense row's float array."""
     header = None
-    rows: dict[int, np.ndarray | tuple] = {}
+    seen: set[int] = set()
+    ids: list[int] = []
+    flat: list[int] = []  # i, j, k, s, t, u per sparse row
+    dense: dict[int, np.ndarray] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("c"):
@@ -122,42 +126,44 @@ def read_vector_rows(text: str) -> tuple[int, int, dict]:
         try:  # spelled out for speed: gap-instance files have ~10^5 rows
             vid = int(parts[0])
             if sparse:
-                (i, s), (j, t), (k, u) = [tok.split(":") for tok in parts[2:]]
-                row = ((int(i) - 1, int(s)), (int(j) - 1, int(t)), (int(k) - 1, int(u)))
+                a, b, c = parts[2:]
+                (i, s), (j, t), (k, u) = a.split(":"), b.split(":"), c.split(":")
+                i, s, j, t, k, u = int(i) - 1, int(s), int(j) - 1, int(t), int(k) - 1, int(u)
             else:
                 row = np.array([float(x) for x in parts[1:]])
         except ValueError as err:
             raise StructuralError(f"line {lineno}: malformed row: {err}") from err
         if not 1 <= vid <= n:
             raise StructuralError(f"line {lineno}: variable id {vid} out of range")
-        if vid in rows:
+        if vid in seen:
             raise StructuralError(f"line {lineno}: duplicate variable id {vid}")
+        seen.add(vid)
         if sparse:
-            (i, s), (j, t), (k, u) = row
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim and i != j != k != i
                     and s in (-1, 1) and t in (-1, 1) and u in (-1, 1)):
                 raise StructuralError(f"line {lineno}: a sparse row needs 3 distinct "
                                       f"coordinates <i>:<+-1> with i in 1..{dim}")
+            ids.append(vid)
+            flat += (i, j, k, s, t, u)
         elif row.size != dim:
             raise StructuralError(f"line {lineno}: expected {dim} coordinates")
-        rows[vid] = row
+        else:
+            dense[vid] = row
     if header is None:
         raise StructuralError("missing 'v' header")
     n, dim = header
-    if len(rows) != n:
-        raise StructuralError(f"header declares {n} vectors, found {len(rows)}")
-    return n, dim, rows
+    if len(seen) != n:
+        raise StructuralError(f"header declares {n} vectors, found {len(seen)}")
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2, 3)
+    return n, dim, (np.array(ids, dtype=np.int64), pairs[:, 0], pairs[:, 1]), dense
 
 
 def parse_vectors(text: str) -> VectorAssignment:
-    n, dim, rows = read_vector_rows(text)
+    n, dim, (ids, indices, signs), dense = read_vector_rows(text)
     vectors = np.zeros((n, dim))
-    for vid, row in rows.items():
-        if isinstance(row, tuple):
-            for i, s in row:
-                vectors[vid - 1, i] = s / _SQRT3
-        else:
-            vectors[vid - 1] = row
+    vectors[(ids - 1)[:, None], indices] = signs / _SQRT3
+    for vid, row in dense.items():
+        vectors[vid - 1] = row
     return VectorAssignment(vectors)
 
 
@@ -167,8 +173,8 @@ def format_vectors(va: VectorAssignment, sparse_signs: dict[int, tuple] | None =
     lines = [f"v {va.num_vars} {va.dim}"]
     for vid in range(1, va.num_vars + 1):
         if sparse_signs and vid in sparse_signs:
-            toks = " ".join(f"{i + 1}:{s:+d}" for i, s in sparse_signs[vid])
-            lines.append(f"{vid} s {toks}")
+            (i, s), (j, t), (k, u) = sparse_signs[vid]
+            lines.append(f"{vid} s {i + 1}:{s:+d} {j + 1}:{t:+d} {k + 1}:{u:+d}")
         else:
             lines.append(f"{vid} " + " ".join(repr(float(x)) for x in va.vectors[vid - 1]))
     return "\n".join(lines) + "\n"
@@ -198,11 +204,10 @@ def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
     assignment = np.asarray(assignment)
     if assignment.shape != (inst.num_vars,) or np.any(np.abs(assignment) != 1):
         raise StructuralError("assignment must map every variable to +-1")
+    a = assignment.tolist()
     sat = 0.0
     for cl in inst.clauses:
-        lits = np.asarray(cl.literals)
-        vals = assignment[np.abs(lits) - 1] * np.sign(lits)
-        if vals.max() != vals.min():
+        if len({a[l - 1] if l > 0 else -a[-l - 1] for l in cl.literals}) > 1:
             sat += cl.weight
     return sat / inst.total_weight
 

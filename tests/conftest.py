@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from naeopt.core import StepFunction
+from naeopt.core import NAEInstance, StepFunction
 
 
 def random_step_function(rng: np.random.Generator, max_breaks: int = 4,
@@ -15,6 +15,18 @@ def random_step_function(rng: np.random.Generator, max_breaks: int = 4,
     if monotone:
         values = np.sort(np.abs(values))
     return StepFunction(tuple(breaks), tuple(values))
+
+
+def array_loop_evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
+    """The per-clause NumPy loop that ``pipeline.evaluate`` replaced: an
+    oracle for its exact bits."""
+    sat = 0.0
+    for cl in inst.clauses:
+        lits = np.asarray(cl.literals)
+        vals = assignment[np.abs(lits) - 1] * np.sign(lits)
+        if vals.max() != vals.min():
+            sat += cl.weight
+    return sat / sum(c.weight for c in inst.clauses)
 
 
 @pytest.fixture

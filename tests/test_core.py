@@ -113,8 +113,36 @@ class TestClause:
         with pytest.raises(StructuralError):
             Clause(weight, (1, 2))
 
+    @pytest.mark.parametrize("literals", [(0.5, 2), (1, 1.5), (1, float("nan")), (1, "2")])
+    def test_non_integral_literals_rejected(self, literals):
+        with pytest.raises(StructuralError):
+            Clause(1.0, literals)
+
+    def test_integral_floats_and_numpy_ints_convert(self):
+        cl = Clause(1.0, (1.0, np.int64(-2), np.int8(3)))
+        assert cl.literals == (1, -2, 3)
+        assert all(type(l) is int for l in cl.literals)
+
+    @pytest.mark.parametrize("literals, message", [
+        ((1,), "at least 2"), ((0, 1), "literal 0"), ((2, -2), "distinct"),
+    ])
+    def test_structure_checks(self, literals, message):
+        with pytest.raises(StructuralError, match=message):
+            Clause(1.0, literals)
+
 
 class TestNAEInstance:
+    def test_out_of_range_names_the_first_offending_literal(self):
+        clauses = (Clause(1.0, (1, 2)), Clause(1.0, (3, -7, 9)), Clause(1.0, (-8, 1)))
+        with pytest.raises(StructuralError, match="literal -7 out of range for 4 variables"):
+            NAEInstance(4, clauses)
+
+    def test_total_weight_is_cached(self):
+        inst = NAEInstance(3, (Clause(0.1, (1, 2)), Clause(0.2, (2, 3)), Clause(0.7, (1, 3))))
+        first = inst.total_weight
+        assert inst.total_weight is first
+        assert first == sum(c.weight for c in inst.clauses)
+
     def test_clause_groups_by_size_in_order_of_first_appearance(self):
         inst = NAEInstance(5, (Clause(1.0, (1, -2, 3)), Clause(2.0, (4, 5)),
                                Clause(3.0, (-3, 4, 5)), Clause(4.0, (2, -1))))

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from naeopt.core import NAEInstance, VectorAssignment
+from naeopt.core import NAEInstance, StepFunction, VectorAssignment
 from naeopt.errors import DomainError, StructuralError
 from naeopt import gapgen as G
 from naeopt import hardness as H
 from naeopt import pipeline as P
+
+from conftest import array_loop_evaluate
 
 SMALL = dict(n=48, m3=400, m5=400, seed=13)
 
@@ -129,6 +131,27 @@ class TestGeneration:
         for arr in (gap.indices, gap.signs):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
+
+    def test_shuffled_vector_file_loads_the_same_rows(self, small_gap):
+        inst_text, vec_text = _files(small_gap)
+        header, *rows = vec_text.splitlines()
+        order = np.random.default_rng(4).permutation(len(rows))
+        shuffled = [header, "c shuffled rows", ""]
+        for pos, r in enumerate(order):
+            shuffled.append(rows[r])
+            if pos % 97 == 0:
+                shuffled += ["", "c a comment"]
+        back = G.load_gap(inst_text, "\n".join(shuffled) + "\n")
+        assert np.array_equal(back.indices, small_gap.indices)
+        assert np.array_equal(back.signs, small_gap.signs)
+        assert back.instance == small_gap.instance
+
+    def test_evaluate_bits_match_the_array_loop(self, gap):
+        va = gap.vector_assignment()
+        f = StepFunction((2.275193649,), (-1.0, 1.0))
+        for r in range(4):
+            a = P.rpr2_round(va, f, seed=11, round_index=r)
+            assert P.evaluate(gap.instance, a) == array_loop_evaluate(gap.instance, a)
 
     def test_gram_of_vectors_is_valid(self, small_gap):
         from naeopt.core import GramConfig, validate_gram

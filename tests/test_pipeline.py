@@ -9,6 +9,8 @@ from naeopt.errors import DomainError, StructuralError
 from naeopt import moments as M
 from naeopt import pipeline as P
 
+from conftest import array_loop_evaluate
+
 SPEC_TEXT = "c example\np nae 3 2\n1.0 3 1 -2 3\n2.0 2 2 -3\n"
 
 
@@ -121,6 +123,19 @@ class TestVectorFiles:
         with pytest.raises(StructuralError):
             P.parse_vectors(text)
 
+    def test_mixed_dense_and_sparse(self):
+        text = "v 3 4\n2 0.0 1.0 0.0 0.0\n3 s 1:-1 2:+1 4:+1\n1 s 2:+1 3:+1 4:-1\n"
+        s3 = 1 / math.sqrt(3)
+        want = np.array([[0, s3, s3, -s3], [0, 1, 0, 0], [-s3, s3, 0, s3]])
+        assert np.array_equal(P.parse_vectors(text).vectors,
+                              VectorAssignment(want).vectors)
+        n, dim, (ids, indices, signs), dense = P.read_vector_rows(text)
+        assert (n, dim) == (3, 4)
+        assert ids.tolist() == [3, 1]
+        assert indices.tolist() == [[0, 1, 3], [1, 2, 3]]
+        assert signs.tolist() == [[-1, 1, 1], [1, 1, -1]]
+        assert list(dense) == [2] and dense[2].tolist() == [0.0, 1.0, 0.0, 0.0]
+
 
 def _symmetric_vectors(k: int, rho: float) -> VectorAssignment:
     if rho < 0:
@@ -176,6 +191,19 @@ class TestEvaluate:
         inst = NAEInstance(2, (Clause(1.0, (1, 2)),))
         with pytest.raises(StructuralError):
             P.evaluate(inst, np.array([1, 0]))
+
+    def test_bit_identical_to_the_array_loop(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(5, 12))
+            clauses = []
+            for _ in range(int(rng.integers(1, 60))):
+                k = int(rng.integers(2, 6))
+                lits = rng.choice(np.arange(1, n + 1), size=k, replace=False)
+                clauses.append(Clause(float(rng.uniform(0.01, 3)),
+                                      tuple(int(l) * int(rng.choice([-1, 1])) for l in lits)))
+            inst = NAEInstance(n, tuple(clauses))
+            for row in rng.choice([-1, 1], size=(4, n)).astype(np.int8):
+                assert P.evaluate(inst, row) == array_loop_evaluate(inst, row)
 
     def test_vectorized_matches_scalar(self, rng):
         clauses = []

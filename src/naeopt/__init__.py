@@ -17,9 +17,6 @@ from .core import (
     NAEInstance,
     StepFunction,
     VectorAssignment,
-    odd_part,
-    triple_bias_distribution,
-    triple_bias_feasible,
     validate_gram,
 )
 from .errors import DomainError, NaeoptError, StructuralError
@@ -35,9 +32,6 @@ __all__ = [
     "StepFunction",
     "StructuralError",
     "VectorAssignment",
-    "odd_part",
-    "triple_bias_distribution",
-    "triple_bias_feasible",
     "validate_gram",
     "__version__",
 ]

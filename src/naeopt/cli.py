@@ -114,8 +114,13 @@ def parse_f_spec(spec: str) -> StepFunction:
         else:
             with open(spec) as fh:
                 payload = json.load(fh)
-        return StepFunction(tuple(payload["a"]), tuple(payload["b"]))
-    except (KeyError, TypeError, ValueError) as err:
+        a, b = payload["a"], payload["b"]
+        if not all(type(v) is list and all(type(x) in (int, float) for x in v) for v in (a, b)):
+            raise StructuralError("f spec needs 'a' and 'b' as JSON lists of numbers")
+        return StepFunction(tuple(a), tuple(b))
+    except OSError as err:
+        raise StructuralError(f"f spec is neither JSON nor a readable file: {err}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise StructuralError(f"f spec needs numeric lists 'a' and 'b': {err!r}") from None
 
 

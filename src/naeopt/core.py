@@ -1,4 +1,4 @@
-"""Shared domain types and the pairwise-bias polytope for triples.
+"""Shared domain types and numerics.
 
 Conventions used throughout the package:
 
@@ -6,9 +6,7 @@ Conventions used throughout the package:
   restriction to [0, inf) as a step function: breakpoints
   0 < a_1 < ... < a_l and values b_0, ..., b_l with f(x) = b_i on
   [a_i, a_{i+1}) (a_0 = 0, a_{l+1} = inf) and f(-x) = -f(x).
-* Pairwise biases b_ij are inner products of unit SDP vectors; for a
-  triple of +-1 variables the feasible biases form the tetrahedron
-  spanned by (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1).
+* Pairwise biases b_ij are inner products of unit SDP vectors.
 * Hard distributions are the two-atom bias families that are worst case
   for every rounding function at fixed completeness: MAX CUT pairs
   supported on {rho, 1} with rho <= 0, and NAE-3 triples supported on
@@ -23,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -113,11 +110,6 @@ class StepFunction:
         out = sgn * np.asarray(self.values)[idx]
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def steps(self) -> int:
-        """Number of steps to the right of the origin (l + 1)."""
-        return len(self.values)
-
     def cells(self):
         """Full-line partition: edges (len 2l+3, with +-inf) and cell values."""
         a = np.asarray(self.breakpoints)
@@ -197,11 +189,6 @@ class GramConfig:
     def order(self) -> int:
         return self.matrix.shape[0]
 
-    @staticmethod
-    def from_vectors(vectors: np.ndarray) -> "GramConfig":
-        v = np.asarray(vectors, dtype=float)
-        return GramConfig(v @ v.T)
-
 
 @dataclass(frozen=True)
 class GramDiagnostics:
@@ -219,49 +206,6 @@ def validate_gram(config: GramConfig, tol: float = PSD_TOL) -> GramDiagnostics:
     lo = float(np.linalg.eigvalsh((m + m.T) / 2).min()) if m.size else 0.0
     ok = sym <= tol and diag <= tol and lo >= -tol
     return GramDiagnostics(sym, diag, lo, ok)
-
-
-# ---------------------------------------------------------------------------
-# the triple-bias polytope
-
-_TRIPLE_INEQS = (
-    # (coef_b12, coef_b13, coef_b23, rhs): coef . b >= rhs
-    (1.0, 1.0, 1.0, -1.0),
-    (1.0, -1.0, -1.0, -1.0),
-    (-1.0, 1.0, -1.0, -1.0),
-    (-1.0, -1.0, 1.0, -1.0),
-)
-
-
-def triple_bias_feasible(b12: float, b13: float, b23: float, tol: float = 0.0) -> bool:
-    """Whether (b12, b13, b23) is realizable by a distribution on +-1 triples.
-
-    The four inequalities are b12+b13+b23 >= -1 and the three obtained by
-    flipping the sign of two coordinates; they cut out the tetrahedron of
-    integral bias points.
-    """
-    b = (b12, b13, b23)
-    return all(sum(c * x for c, x in zip(coef, b)) >= rhs - tol
-               for *coef, rhs in _TRIPLE_INEQS)
-
-
-def triple_bias_distribution(b12: float, b13: float, b23: float) -> tuple[float, float, float, float]:
-    """Weights (c_+++, c_+--, c_-+-, c_--+) on the 4 integral bias points.
-
-    c_+++ = (b12+b13+b23+1)/4 and cyclic variants; exact affine formulas, so
-    the pairwise expectations are reproduced without roundoff beyond float
-    arithmetic on the inputs.
-    """
-    names = ("b12+b13+b23 >= -1", "b12-b13-b23 >= -1",
-             "-b12+b13-b23 >= -1", "-b12-b13+b23 >= -1")
-    b = (b12, b13, b23)
-    weights = []
-    for (coef_a, coef_b, coef_c, rhs), name in zip(_TRIPLE_INEQS, names):
-        val = coef_a * b[0] + coef_b * b[1] + coef_c * b[2]
-        if val < rhs:
-            raise DomainError(f"infeasible triple biases: violated {name}")
-        weights.append((val + 1.0) / 4.0)
-    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +333,3 @@ class VectorAssignment:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# odd part on a symmetric grid
-
-
-def odd_part(xs: Sequence[float], fs: Sequence[float]) -> np.ndarray:
-    """(f(x) - f(-x))/2 on a grid that is symmetric under x -> -x.
-
-    ``xs`` must be sorted ascending with xs[i] == -xs[-1-i] exactly (a
-    sign-symmetric grid); returns the odd part sampled on the same grid.
-    """
-    x = np.asarray(xs, dtype=float)
-    f = np.asarray(fs, dtype=float)
-    if x.shape != f.shape or x.ndim != 1:
-        raise StructuralError("grid and samples must be 1-d arrays of equal length")
-    if np.any(x + x[::-1] != 0.0):
-        raise StructuralError("grid must be symmetric about 0")
-    return (f - f[::-1]) / 2.0

@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GridFunction, HardDistribution, equal_mass_edges, golden_section_min
-from .errors import DomainError, StructuralError
+from .errors import DomainError
 from . import hermite, moments
 
 DEFAULT_N = 600
@@ -94,7 +94,6 @@ class FredholmSolution:
     residual: float           # l2 norm of the interior stationarity residual
     soundness: float
     completeness: float
-    dist: HardDistribution
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +217,6 @@ def _solve_half(R: np.ndarray, lam: float, i_a: int, n: int) -> np.ndarray:
         f[i_a:half] = np.linalg.solve(sys, g)
     f[half:] = -f[:half][::-1]
     return f
-
-
-def solve_discrete_fredholm(kernel: np.ndarray, lam: float, i_a: int) -> GridFunction:
-    """Single clamped solve on a full kernel matrix from build_kernel_matrix.
-
-    Cells 1..i_a (and their mirrors) are clamped to -+1; the interior
-    solves (I + lam M')f' = g with M' = N * kernel.
-    """
-    n = kernel.shape[0]
-    if kernel.ndim != 2 or kernel.shape[1] != n or n % 2:
-        raise StructuralError("kernel must be a square matrix of even order")
-    half = n // 2
-    if not 0 <= i_a <= half:
-        raise DomainError(f"clamp index must lie in [0, {half}]")
-    R = _odd_reduced(kernel)
-    try:
-        f = _solve_half(R, lam, i_a, n)
-    except np.linalg.LinAlgError as err:
-        raise DomainError(f"reduced system is singular at lam={lam}: {err}") from err
-    return GridFunction(tuple(np.clip(f, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +388,7 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
     """
     i_a, f, s, R, lam = _search(dist, n, hint)
     return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
-                            _interior_residual(f, R, lam, i_a, n), s, completeness(dist), dist)
+                            _interior_residual(f, R, lam, i_a, n), s, completeness(dist))
 
 
 # ---------------------------------------------------------------------------

@@ -228,19 +228,16 @@ def completeness_witness(clause_kind: int) -> tuple[tuple[float, tuple[int, ...]
     raise DomainError("witnesses exist for clause sizes 3 and 5")
 
 
-def witness_pair_expectations(clause_kind: int) -> np.ndarray:
-    """E[X_a X_b] under the witness for every pair a < b."""
-    rows = completeness_witness(clause_kind)
-    k = len(rows[0][1])
-    out = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            out.append(sum(p * x[a] * x[b] for p, x in rows))
-    return np.array(out)
-
-
 # ---------------------------------------------------------------------------
 # rounding rules and moments
+
+
+def _checked_rule(rule) -> tuple[float, float]:
+    """The (p1, p2) of a two-probability rule; each must lie in [0, 1]."""
+    p1, p2 = rule
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):  # NaN fails too
+        raise DomainError("rule probabilities must lie in [0, 1]")
+    return p1, p2
 
 
 def _rule_coins(rep_positives: np.ndarray, p1: float, p2: float,
@@ -263,9 +260,7 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
         raise DomainError("a moment estimate and its standard error need at least 2 samples")
     if callable(rule):
         return _assignment_moments_callable(rule, n, min(samples, 20000), seed)
-    p1, p2 = rule
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise DomainError("rule probabilities must lie in [0, 1]")
+    p1, p2 = _checked_rule(rule)
     rng = np.random.default_rng(seed)
     out = []
     for k in (2, 4):
@@ -329,7 +324,7 @@ def expected_fraction(gap: GapInstance, rule: tuple[float, float]) -> tuple[floa
     the clause-sampling standard deviation of that expectation (how much
     the number moves across instance draws), from the per-clause spread.
     """
-    p1, p2 = rule
+    p1, p2 = _checked_rule(rule)
     mu_var = np.where(gap.positives == 3, 2.0 * p1 - 1.0, 2.0 * p2 - 1.0)
     total = 0.0
     var_acc = 0.0
@@ -353,9 +348,9 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     expected vs class prediction differ by the clause-sampling noise,
     whose scale is reported alongside.
     """
+    p1, p2 = _checked_rule(rule)
     if trials < 1:
         raise DomainError("need at least one trial")
-    p1, p2 = rule
     rng = np.random.default_rng(seed)
     rep_pos = np.broadcast_to(gap.positives, (trials, len(gap.indices)))
     assignments = _rule_coins(rep_pos, p1, p2, rng).astype(np.int8)
@@ -368,9 +363,3 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     pred = mixture_value(WEIGHT_5, f2_est.value, f4_est.value)
     return GapEvaluation(mean, se, trials, float(exp_frac), float(sigma_inst),
                          float(pred), f2_est, f4_est)
-
-
-def soundness_upper_estimate(f2: float, f4: float, p: float = P_STAR,
-                             slack: float = 0.0) -> float:
-    """Upper bound on any assignment's value from measured moments."""
-    return mixture_value(p, f2, max(f4, f2 * f2 - slack))

@@ -19,7 +19,6 @@ c_i eta^i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,38 +35,15 @@ def matchings_count(l: int, n: int) -> int:
     return math.factorial(n) // (math.factorial(l) * 2**l * math.factorial(n - 2 * l))
 
 
-@dataclass(frozen=True)
-class HermitePoly:
-    """Degree-n normalized Hermite polynomial.
-
-    ``signed_matchings[l]`` is the exact integer coefficient of x^(n-2l)
-    before dividing by sqrt(n!).
-    """
-
-    degree: int
-    signed_matchings: tuple[int, ...]
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(math.factorial(self.degree))
-
-    def monomial_coefficients(self) -> np.ndarray:
-        """Float coefficients in ascending powers x^0 ... x^n."""
-        c = np.zeros(self.degree + 1)
-        for l, m in enumerate(self.signed_matchings):
-            c[self.degree - 2 * l] = m / self.norm
-        return c
-
-    def __call__(self, x):
-        vals = hermite_values(x, self.degree)
-        return vals[..., self.degree]
-
-
-def hermite_poly(n: int) -> HermitePoly:
+def monomial_coefficients(n: int) -> np.ndarray:
+    """H_n in ascending powers x^0 ... x^n: (-1)^l m_l(K_n) / sqrt(n!) at x^(n-2l)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    coeffs = tuple((-1) ** l * matchings_count(l, n) for l in range(n // 2 + 1))
-    return HermitePoly(n, coeffs)
+    norm = math.sqrt(math.factorial(n))
+    c = np.zeros(n + 1)
+    for l in range(n // 2 + 1):
+        c[n - 2 * l] = (-1) ** l * matchings_count(l, n) / norm
+    return c
 
 
 def hermite_values(x, max_degree: int) -> np.ndarray:
@@ -172,7 +148,7 @@ def extreme_point(direction) -> tuple[StepFunction, np.ndarray]:
     mono = np.zeros(2 * k)
     for i, a in enumerate(alpha):
         if a != 0.0:
-            mono[: 2 * i + 2] += a * hermite_poly(2 * i + 1).monomial_coefficients()
+            mono[: 2 * i + 2] += a * monomial_coefficients(2 * i + 1)
     poly = np.polynomial.Polynomial(mono)
     roots = _positive_sign_change_roots(poly)
     if len(roots) > k:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtr, owens_t
 
 from .core import GramConfig, StepFunction, gaussian_pdf, validate_gram
 from .errors import DomainError
@@ -52,23 +52,6 @@ class MomentEstimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise DomainError("std_error must be nonnegative")
-
-
-def exact(value: float) -> MomentEstimate:
-    return MomentEstimate(float(value), 0.0, 0)
-
-
-# ---------------------------------------------------------------------------
-# scalar normal helpers
-
-
-def probit(p) -> float:
-    """Inverse standard normal CDF; domain (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise DomainError("probit requires 0 < p < 1")
-    out = ndtri(p)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

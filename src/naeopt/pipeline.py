@@ -268,12 +268,3 @@ def pq_values(k: int, delta: float) -> tuple[float, float]:
     p = 1.0 - 2.0 * (1.0 - delta) ** k + (1.0 - 2.0 * delta) ** k
     q = (1.0 - 2.0 * delta) ** k
     return p, q
-
-
-def delta_for_untouched(k: int, eps: float) -> float:
-    """The delta with Q_k(delta) = 1 - eps/2, i.e. (1 - (1-eps/2)^(1/k))/2."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    if not 0.0 < eps < 2.0:
-        raise DomainError("eps must lie in (0, 2)")
-    return (1.0 - (1.0 - eps / 2.0) ** (1.0 / k)) / 2.0

@@ -46,10 +46,18 @@ class TestFSpec:
 
     @pytest.mark.parametrize("spec", ['{"a": [1.0]}', '{"a": [1.0], "b": [1',
                                       '{"a": "x", "b": [1, 1]}', '{"a": 2, "b": [1, 1]}',
-                                      '{"a": [], "b": "x"}'])
+                                      '{"a": [], "b": "x"}', '{"a": "12", "b": [0, 1, 1]}',
+                                      '{"a": [1.0], "b": [true, 1]}', '{"a": [1.0], "b": [0, "1"]}',
+                                      pytest.param('{"a": [1' + '0' * 400 + '], "b": [0, 1]}',
+                                                   id="huge-int")])
     def test_malformed_json_is_structural(self, spec):
         with pytest.raises(StructuralError):
             parse_f_spec(spec)
+
+    def test_unreadable_path_is_structural(self, tmp_path):
+        for spec in (str(tmp_path / "missing.json"), str(tmp_path), "sgin"):
+            with pytest.raises(StructuralError, match="readable file"):
+                parse_f_spec(spec)
 
     def test_file(self, tmp_path):
         p = tmp_path / "f.json"
@@ -209,6 +217,8 @@ class TestExitCodes:
         ("sweep", "--base", "slin:inf", "--K", "3,5", "--range", "3:4:0.5"),
         ("stepopt", "--K", "3,5", "--restarts", "0"),
         ("sweep", "--base", '{"a": [1.0]}', "--K", "3,5", "--range", "3:4:0.5"),
+        ("sweep", "--base", '{"a": "12", "b": [0, 1, 1]}', "--K", "3,5", "--range", "3:4:0.5"),
+        ("sweep", "--base", "missing.json", "--K", "3,5", "--range", "3:4:0.5"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from naeopt.core import (
     Clause,
@@ -10,12 +10,9 @@ from naeopt.core import (
     GridFunction,
     NAEInstance,
     StepFunction,
-    odd_part,
-    triple_bias_distribution,
-    triple_bias_feasible,
     validate_gram,
 )
-from naeopt.errors import DomainError, StructuralError
+from naeopt.errors import StructuralError
 
 from conftest import random_step_function
 
@@ -186,84 +183,4 @@ class TestValidateGram:
             k, d = rng.integers(2, 7), rng.integers(2, 9)
             v = rng.normal(size=(k, d))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-            assert validate_gram(GramConfig.from_vectors(v)).accepted
-
-
-# ---------------------------------------------------------------------------
-# the triple-bias polytope
-
-_INTEGRAL_POINTS = np.array([
-    [1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1],
-], dtype=float)
-
-
-def _in_hull(b) -> bool:
-    """Independent oracle: solve for the unique affine weights on the four
-    integral bias points and check nonnegativity."""
-    sys = np.vstack([_INTEGRAL_POINTS.T, np.ones(4)])
-    rhs = np.array([*b, 1.0])
-    w = np.linalg.solve(sys, rhs)
-    return bool(np.all(w >= -1e-12))
-
-
-class TestTripleBias:
-    def test_spec_points(self):
-        assert triple_bias_feasible(-1 / 3, -1 / 3, -1 / 3)
-        assert triple_bias_feasible(1, 1, 1)
-        assert not triple_bias_feasible(1, 1, -1)
-
-    def test_agrees_with_hull_oracle(self):
-        g = np.linspace(-1, 1, 21)
-        for b12 in g:
-            for b13 in g:
-                for b23 in g:
-                    assert triple_bias_feasible(b12, b13, b23, tol=1e-12) == _in_hull(
-                        (b12, b13, b23)
-                    )
-
-    def test_distribution_examples(self):
-        assert triple_bias_distribution(1, 1, 1) == (1, 0, 0, 0)
-        w = triple_bias_distribution(-1 / 3, -1 / 3, -1 / 3)
-        assert np.allclose(w, (0, 1 / 3, 1 / 3, 1 / 3))
-        assert triple_bias_distribution(0, 0, 0) == (0.25, 0.25, 0.25, 0.25)
-
-    def test_infeasible_names_inequality(self):
-        with pytest.raises(DomainError, match="b12-b13-b23"):
-            triple_bias_distribution(-1, 1, 1)
-
-    @given(st.tuples(*[st.floats(0, 1) for _ in range(4)]))
-    @settings(max_examples=200)
-    def test_distribution_reproduces_biases(self, raw):
-        w = np.asarray(raw) + 1e-3
-        w /= w.sum()
-        b = w @ _INTEGRAL_POINTS
-        c = np.asarray(triple_bias_distribution(*b))
-        assert abs(c.sum() - 1) < 1e-12
-        assert np.all(c >= -1e-15) and np.all(c <= 1 + 1e-15)
-        assert np.max(np.abs(c @ _INTEGRAL_POINTS - b)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# odd part
-
-
-class TestOddPart:
-    def test_even_function_vanishes(self):
-        xs = np.linspace(-3, 3, 13)
-        assert np.allclose(odd_part(xs, xs**2), 0.0)
-
-    def test_odd_function_unchanged(self):
-        xs = np.linspace(-3, 3, 13)
-        fs = np.tanh(xs)
-        assert np.allclose(odd_part(xs, fs), fs)
-
-    def test_shifted_line(self):
-        xs = np.array([-0.5, 0.5])
-        # odd part of x + 1 is x; clamping to [-1, 1] first halves the
-        # asymmetric excess at +0.5
-        assert np.allclose(odd_part(xs, xs + 1.0), [-0.5, 0.5])
-        assert np.allclose(odd_part(xs, np.clip(xs + 1.0, -1, 1)), [-0.25, 0.25])
-
-    def test_asymmetric_grid_rejected(self):
-        with pytest.raises(StructuralError):
-            odd_part([-1.0, 0.5], [0.0, 0.0])
+            assert validate_gram(GramConfig(v @ v.T)).accepted

@@ -131,22 +131,17 @@ class TestReducedKernel:
 
 
 class TestSolveDiscreteFredholm:
+    # the clamped solve on the odd-reduced form of a full kernel matrix
     def test_lambda_zero_gives_g(self):
         kernel = F.build_kernel_matrix(F.KernelSpec(1.0, ((1.0, -0.5),)), 8)
-        g = F.solve_discrete_fredholm(kernel, 0.0, 2)
-        v = np.asarray(g.values)
+        v = F._solve_half(F._odd_reduced(kernel), 0.0, 2, 8)
         assert np.allclose(v[:2], -1) and np.allclose(v[-2:], 1)
         assert np.allclose(v[2:6], 0.0)  # g vanishes at lam = 0
 
     def test_fully_clamped_is_sign(self):
         kernel = F.build_kernel_matrix(F.KernelSpec(1.0, ((1.0, -0.5),)), 8)
-        g = F.solve_discrete_fredholm(kernel, 1.0, 4)
-        assert np.allclose(g.values, [-1] * 4 + [1] * 4)
-
-    def test_clamp_range(self):
-        kernel = F.build_kernel_matrix(F.KernelSpec(1.0, ((1.0, -0.5),)), 8)
-        with pytest.raises(DomainError):
-            F.solve_discrete_fredholm(kernel, 1.0, 5)
+        v = F._solve_half(F._odd_reduced(kernel), 1.0, 4, 8)
+        assert np.array_equal(v, [-1] * 4 + [1] * 4)
 
     def test_arithmetic_unchanged(self):
         # the system built with np.ix_ and np.eye, as _solve_half did before
@@ -238,6 +233,28 @@ class TestOptimalStepFunction:
     def test_odd_cell_count_rejected(self):
         with pytest.raises(DomainError):
             F.optimal_step_function(HARD_NAE3, 101)
+
+    @pytest.mark.parametrize("dist", [
+        HARD_NAE3,
+        HardDistribution("maxcut", 0.8446, -0.6892),
+        HardDistribution("nae3", 0.1, -0.8, "one"),
+        HardDistribution("nae3", 0.5, -0.3, "clamped"),
+        HardDistribution("nae3", 0.9, -0.95, "clamped"),
+        HardDistribution("maxcut", 0.5, -0.9),  # the zero function wins
+    ])
+    def test_beats_random_odd_monotone(self, dist, rng):
+        # random odd monotone f on the same cells, and the optimum's left
+        # half perturbed, re-sorted and clipped to [-1, 0], score no higher
+        n = 100
+        sol = F.optimal_step_function(dist, n)
+        opt_half = np.asarray(sol.f.values[: n // 2])
+        for _ in range(200):
+            raw = np.sort(-rng.random(n // 2) ** rng.uniform(0.2, 5.0))
+            noisy = np.clip(np.sort(opt_half + rng.normal(0.0, 10 ** rng.uniform(-4, -1), n // 2)),
+                            -1.0, 0.0)
+            for half in (raw, noisy):
+                f = GridFunction(tuple(np.concatenate([half, -half[::-1]])))
+                assert F.soundness(f, dist) <= sol.soundness + 1e-12
 
 
 CASES = [("maxcut", "clamped"), ("nae3", "clamped"), ("nae3", "one")]

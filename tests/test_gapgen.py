@@ -155,8 +155,8 @@ class TestGeneration:
 
     def test_gram_of_vectors_is_valid(self, small_gap):
         from naeopt.core import GramConfig, validate_gram
-        va = small_gap.vector_assignment()
-        assert validate_gram(GramConfig.from_vectors(va.vectors[:50])).accepted
+        v = small_gap.vector_assignment().vectors[:50]
+        assert validate_gram(GramConfig(v @ v.T)).accepted
 
 
 class TestPinnedOutputs:
@@ -203,11 +203,16 @@ class TestWitnesses:
             assert abs(sum(p for p, _ in G.completeness_witness(kind)) - 1.0) < 1e-15
 
     def test_pair_expectations_match_biases(self):
-        assert np.allclose(G.witness_pair_expectations(3), -1 / 3, atol=1e-15)
-        w5 = G.witness_pair_expectations(5)
+        def pair_expectations(kind):
+            probs, rows = zip(*G.completeness_witness(kind))
+            x = np.array(rows)
+            a, b = np.triu_indices(kind, 1)
+            return np.array(probs) @ (x[:, a] * x[:, b])
+
+        assert np.allclose(pair_expectations(3), -1 / 3, atol=1e-15)
         # order: (1,2),(1,3),(1,4),(1,5),(2,3),(2,4),(2,5),(3,4),(3,5),(4,5)
         want = [1 / 3, 1 / 3, 1 / 3, 0, 1 / 3, 1 / 3, 0, 1 / 3, 0, 0]
-        assert np.allclose(w5, want, atol=1e-15)
+        assert np.allclose(pair_expectations(5), want, atol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -292,26 +297,17 @@ class TestEvaluateGap:
         assert res.std_error == 0.0
         assert abs(res.fraction - res.expected_fraction) < 1e-12
 
+    @pytest.mark.parametrize("rule", [(1.5, 0.0), (math.nan, 0.0), (0.5, -0.1), (0.5, math.nan)])
+    def test_rule_outside_unit_interval_rejected(self, small_gap, rule, monkeypatch):
+        with pytest.raises(DomainError):
+            G.expected_fraction(small_gap, rule)
+        with pytest.raises(DomainError):
+            G.assignment_moments(rule, 48, samples=10)
+        monkeypatch.setattr(G, "_rule_coins", None)  # rejected before any trial is rounded
+        with pytest.raises(DomainError):
+            G.evaluate_gap(small_gap, rule, trials=2, moment_samples=10)
+
     @pytest.mark.parametrize("trials", [-1, 0])
     def test_no_trials_rejected(self, small_gap, trials):
         with pytest.raises(DomainError):
             G.evaluate_gap(small_gap, (G.P1_STAR, 0.0), trials=trials, moment_samples=10)
-
-
-class TestSoundnessUpper:
-    def test_worst_point(self):
-        v = G.soundness_upper_estimate(G.F2_STAR, G.F2_STAR**2)
-        assert abs(v - H.BOUND) < 1e-12
-
-    def test_zero_moments(self):
-        p = 0.4
-        assert abs(G.soundness_upper_estimate(0.0, 0.0, p) - (12 + 3 * p) / 16) < 1e-15
-
-    def test_pure_three(self):
-        assert G.soundness_upper_estimate(1 / 3, 0.2, p=0.0) == 1.0
-
-    def test_slack_floor(self):
-        # F4 below F2^2 - slack is clipped up before the bound is formed
-        lifted = G.soundness_upper_estimate(0.2, -1.0, p=0.5, slack=0.01)
-        direct = H.mixture_value(0.5, 0.2, 0.2**2 - 0.01)
-        assert abs(lifted - direct) < 1e-15

@@ -36,13 +36,21 @@ class TestMatchings:
 
 class TestHermitePoly:
     def test_low_degrees(self):
-        assert np.allclose(H.hermite_poly(1).monomial_coefficients(), [0, 1])
-        assert np.allclose(H.hermite_poly(2).monomial_coefficients(),
+        assert np.allclose(H.monomial_coefficients(1), [0, 1])
+        assert np.allclose(H.monomial_coefficients(2),
                            [-1 / math.sqrt(2), 0, 1 / math.sqrt(2)])
-        h3 = H.hermite_poly(3)
-        assert np.allclose(h3.monomial_coefficients(),
+        assert np.allclose(H.monomial_coefficients(3),
                            [0, -3 / math.sqrt(6), 0, 1 / math.sqrt(6)])
-        assert abs(h3(1.0) - (-2 / math.sqrt(6))) < 1e-14
+        assert abs(H.hermite_values(1.0, 3)[3] - (-2 / math.sqrt(6))) < 1e-14
+        with pytest.raises(DomainError):
+            H.monomial_coefficients(-1)
+
+    def test_monomials_match_recurrence(self):
+        xs = np.linspace(-3.0, 3.0, 13)
+        table = H.hermite_values(xs, 12)
+        for n in range(13):
+            poly = np.polynomial.Polynomial(H.monomial_coefficients(n))
+            assert np.allclose(poly(xs), table[:, n], rtol=1e-12, atol=1e-12)
 
     def test_orthonormality(self):
         xs, ws = M._QX, M._QW
@@ -53,9 +61,9 @@ class TestHermitePoly:
 
     def test_parity(self):
         xs = np.linspace(0.1, 3.0, 7)
+        pos, neg = H.hermite_values(xs, 7), H.hermite_values(-xs, 7)
         for n in range(8):
-            p = H.hermite_poly(n)
-            assert np.allclose(p(-xs), (-1) ** n * np.asarray(p(xs)), atol=1e-12)
+            assert np.allclose(neg[:, n], (-1) ** n * pos[:, n], atol=1e-12)
 
 
 class TestHermiteCoeffs:
@@ -87,8 +95,7 @@ class TestHermiteCoeffs:
             c = H.hermite_coeffs(f, 7)
             jumps = sorted({-b for b in f.breakpoints} | {0.0} | set(f.breakpoints))
             for j, deg in enumerate((1, 3, 5, 7)):
-                poly = H.hermite_poly(deg)
-                val, _ = quad(lambda x: float(f(x)) * float(poly(x)) * phi(x),
+                val, _ = quad(lambda x: float(f(x)) * H.hermite_values(x, deg)[deg] * phi(x),
                               -12, 12, points=jumps, limit=200)
                 assert abs(c[j] - val) < 1e-9
 

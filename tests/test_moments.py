@@ -26,34 +26,10 @@ BVN_CDF_ORACLE = [
     (-1.1, -0.4, 0.15, 0.059174533605805834),
 ]
 
-# inverse-CDF reference points from bisection against the erf-based Phi
-PROBIT_ORACLE = [
-    (0.975, 1.9599639845400536),
-    (0.8413447460685429, 1.0),
-    (0.25, -0.6744897501960818),
-    (1 / 3, -0.4307272992954576),
-    (0.05, -1.6448536269514724),
-    (0.999, 3.090232306167805),
-]
-
 # int (U_{sqrt(1/3)} sign)^4 phi dx, mpmath dps=30
 F4_THIRD_SIGN = 0.097721071042237989
 
 F2_SIGN_THIRD = 2.0 * math.asin(1.0 / 3.0) / math.pi
-
-
-class TestProbit:
-    @pytest.mark.parametrize("p,want", PROBIT_ORACLE)
-    def test_oracle_agreement(self, p, want):
-        assert abs(M.probit(p) - want) < 1e-9
-
-    def test_symmetry(self):
-        assert M.probit(0.5) == 0.0
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
-    def test_domain(self, p):
-        with pytest.raises(DomainError):
-            M.probit(p)
 
 
 class TestEqualProbGrid:
@@ -444,7 +420,7 @@ class TestF4NegativeWitness:
 
 class TestMomentEstimate:
     def test_exact_has_zero_error(self):
-        e = M.exact(0.5)
+        e = M.MomentEstimate(0.5, 0.0, 0)
         assert e.std_error == 0.0 and e.samples == 0
 
     def test_negative_error_rejected(self):

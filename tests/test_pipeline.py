@@ -287,12 +287,6 @@ class TestPQ:
         p, q = P.pq_values(k, delta)
         assert -1e-12 <= p <= 1.0 and 0.0 <= q <= 1.0  # raw closed form, fp noise
 
-    def test_delta_inversion(self):
-        for k in (2, 5, 11):
-            for eps in (0.01, 0.2, 0.8):
-                d = P.delta_for_untouched(k, eps)
-                assert abs(P.pq_values(k, d)[1] - (1 - eps / 2)) < 1e-12
-
 
 class TestPipelineAgainstMoments:
     @pytest.mark.parametrize("k", [3, 5, 7])

@@ -15,9 +15,14 @@ monotone in i_a for i_a >= 1, which ``TestClampSearch`` checks): from a
 hint the search gallops 1, 2, 4, ... clamps away until that index is
 bracketed and bisects the bracket, and without one it bisects [1, N/2].
 The zero function (i_a = 0, the homogeneous solution) and the sign
-function (i_a = N/2) are the other two candidates.  Grid scans take the
-winner's index, soundness and completeness straight from the search and
-build no GridFunction per point.
+function (i_a = N/2) are the other two candidates, and only i* is scored
+by quadratic forms: every F_2 of the zero function is +-0, so its
+soundness is closed form, and the sign function's F_2(rho) depends on N
+and rho alone, so one cached value serves a whole rho-slice.  Each system
+goes straight to the LAPACK gufunc behind np.linalg.solve; a singular one
+solves to NaN, which fails the consistency check, so it counts as
+inconsistent.  Grid scans take the winner's index, soundness and
+completeness straight from the search and build no GridFunction per point.
 
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
@@ -205,6 +210,12 @@ def _combined_reduced(spec: KernelSpec, n: int) -> np.ndarray:
     return out
 
 
+# the LAPACK gufunc behind np.linalg.solve for one right-hand side: the same
+# bits without the wrapper's checks; a singular system solves to NaN and
+# sets the invalid flag instead of raising LinAlgError
+_solve1 = np.linalg._umath_linalg.solve1
+
+
 def _solve_half(R: np.ndarray, lam: float, i_a: int, n: int) -> np.ndarray:
     """Solve the odd-reduced clamped system; returns the full odd f (len n)."""
     half = n // 2
@@ -214,7 +225,7 @@ def _solve_half(R: np.ndarray, lam: float, i_a: int, n: int) -> np.ndarray:
         sys = lam * R[i_a:half, i_a:half]
         sys.flat[:: half - i_a + 1] += 1.0
         g = lam * R[i_a:half, :i_a].sum(axis=1)
-        f[i_a:half] = np.linalg.solve(sys, g)
+        f[i_a:half] = _solve1(sys, g, signature="dd->d")
     f[half:] = -f[:half][::-1]
     return f
 
@@ -250,6 +261,23 @@ def _soundness_values(f: np.ndarray, dist: HardDistribution, n: int) -> float:
     return _soundness_from(f2, dist)
 
 
+def _zero_f2(rho: float) -> float:
+    return 0.0  # every F_2 of f = 0 is +-0, which gives the same soundness bits
+
+
+# a scan slice reads at most two correlations (rho, rho0), so 8 entries keep every reuse
+@lru_cache(maxsize=8)
+def _sign_f2(n: int, rho: float) -> float:
+    """F_2 of the sign function of n cells, by _soundness_values' arithmetic;
+    it depends on n and rho alone, so one value serves a whole rho-slice."""
+    if rho >= 1.0:
+        return 1.0
+    if rho <= -1.0:
+        return -1.0
+    fh = _sign_values(n)[: n // 2]
+    return float(2.0 / n * (fh @ _reduced_kernel(n, round(float(rho), 14)) @ fh))
+
+
 def soundness(f, dist: HardDistribution) -> float:
     """Expected rounded value s_2 or s_3 of f on the hard distribution.
 
@@ -276,11 +304,17 @@ def _consistent_half(fh: np.ndarray, i_a: int) -> bool:
     """Whether the odd f with left half fh is consistent: its interior lies
     inside (-1, 1) and f is non-decreasing.  Each step of the right half
     equals a left-half step bit for bit and the middle step is -2 fh[-1],
-    so the mirror adds nothing to check."""
-    interior = fh[i_a:]
-    if interior.size and not float(np.max(np.abs(interior))) < 1.0:
-        return False
-    return -2.0 * fh[-1] >= -1e-12 and bool(np.all(np.diff(fh) >= -1e-12))
+    so the mirror adds nothing to check.  NaN fails every comparison."""
+    vals = fh.tolist()
+    for v in vals[i_a:]:
+        if not -1.0 < v < 1.0:
+            return False
+    prev = vals[0]
+    for v in vals:
+        if not v - prev >= -1e-12:
+            return False
+        prev = v
+    return -2.0 * prev >= -1e-12
 
 
 def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: int) -> float:
@@ -291,10 +325,13 @@ def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: in
     return float(np.linalg.norm(r[i_a:half]))
 
 
-def _best(cands, dist: HardDistribution, n: int) -> tuple[int, np.ndarray, float]:
-    """(i_a, f, soundness) of the highest-soundness candidate; the first on ties."""
-    s, i_a, f = max(((_soundness_values(f, dist, n), i_a, f) for i_a, f in cands),
-                    key=lambda t: t[0])
+def _best(cands, found: dict, n: int) -> tuple[int, np.ndarray, float]:
+    """(i_a, f, soundness) of the highest-scoring (soundness, i_a) candidate,
+    the first on ties; f is found[i_a], or built for i_a = 0 and N/2."""
+    s, i_a = max(cands, key=lambda t: t[0])
+    f = found.get(i_a)
+    if f is None:
+        f = np.zeros(n) if i_a == 0 else _sign_values(n)
     return i_a, f, float(s)
 
 
@@ -346,30 +383,33 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
     if n % 2:
         raise DomainError("the solver needs an even cell count")
     half = n // 2
+    zero = (_soundness_from(_zero_f2, dist), 0)
+    sign = (_soundness_from(lambda rho: _sign_f2(n, rho), dist), half)
     spec = None
     if dist.rho > -1.0 and not (dist.problem == "maxcut" and dist.alpha == 0.0):
         spec = kernel_spec(dist)
     if spec is None or spec.lambda1 <= _TINY_LAMBDA1:
         # the degenerate corners: best of {sign, 0} by true soundness
-        return _best([(half, _sign_values(n)), (0, np.zeros(n))], dist, n) + (None, math.inf)
+        return _best([sign, zero], {}, n) + (None, math.inf)
 
     lam = 1.0 / spec.lambda1
     R = _combined_reduced(spec, n)
-    # i_a -> its solution if consistent, else None
-    found: dict[int, np.ndarray | None] = {half: _sign_values(n)}
+    # i_a -> its solution if consistent, else None; i_a = N/2 solves
+    # nothing and gives the sign function, which is consistent
+    found: dict[int, np.ndarray | None] = {}
 
     def ok(i_a: int) -> bool:
         if i_a not in found:
-            try:
-                f = _solve_half(R, lam, i_a, n)
-                found[i_a] = f if _consistent_half(f[:half], i_a) else None
-            except np.linalg.LinAlgError:
-                found[i_a] = None
+            f = _solve_half(R, lam, i_a, n)
+            found[i_a] = f if _consistent_half(f[:half], i_a) else None
         return found[i_a] is not None
 
-    i_star = _smallest_consistent_clamp(ok, half, hint)
-    cands = [(0, np.zeros(n))] + [(i_a, found[i_a]) for i_a in sorted({i_star, half})]
-    return _best(cands, dist, n) + (R, lam)
+    with np.errstate(all="ignore"):  # a singular system solves to NaN: not consistent
+        i_star = _smallest_consistent_clamp(ok, half, hint)
+    cands = [zero, sign]
+    if i_star < half:
+        cands.insert(1, (_soundness_values(found[i_star], dist, n), i_star))
+    return _best(cands, found, n) + (R, lam)
 
 
 def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,

@@ -32,6 +32,7 @@ negation of one (a negative literal); ids follow first occurrence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,10 +234,14 @@ def completeness_witness(clause_kind: int) -> tuple[tuple[float, tuple[int, ...]
 
 
 def _checked_rule(rule) -> tuple[float, float]:
-    """The (p1, p2) of a two-probability rule; each must lie in [0, 1]."""
-    p1, p2 = rule
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):  # NaN fails too
-        raise DomainError("rule probabilities must lie in [0, 1]")
+    """The (p1, p2) of a two-probability rule: a pair of reals in [0, 1]."""
+    try:
+        p1, p2 = rule
+    except (TypeError, ValueError):
+        raise DomainError(f"a rule is a pair (p1, p2), got {rule!r}") from None
+    if not all(isinstance(p, numbers.Real) and 0.0 <= p <= 1.0  # NaN fails too
+               for p in (p1, p2)):
+        raise DomainError("rule probabilities must be real numbers in [0, 1]")
     return p1, p2
 
 
@@ -293,7 +298,10 @@ def _assignment_moments_callable(rule, n: int, samples: int, seed: int):
             total = 1
             for v in vecs:
                 rep, orient = v.canonical()
-                total *= orient * int(rule(rep))
+                value = rule(rep)
+                if value not in (1, -1):
+                    raise DomainError(f"a callable rule must return +-1, got {value!r}")
+                total *= orient * int(value)
             prods[t] = total
         out.append(_estimate(prods))
     return out[0], out[1]

@@ -276,13 +276,10 @@ def _consistent_clamps(dist, n):
     """Every i_a in [1, N/2] whose solve is consistent, by exhaustive scan."""
     R, lam = _system(dist, n)
     out = []
-    for i_a in range(1, n // 2 + 1):
-        try:
-            f = F._solve_half(R, lam, i_a, n)
-        except np.linalg.LinAlgError:
-            continue
-        if _consistent_full(f, i_a, n):
-            out.append(i_a)
+    with np.errstate(all="ignore"):  # a singular system solves to NaN: not consistent
+        for i_a in range(1, n // 2 + 1):
+            if _consistent_full(F._solve_half(R, lam, i_a, n), i_a, n):
+                out.append(i_a)
     return out
 
 
@@ -320,13 +317,13 @@ class TestClampSearch:
         i_star = _consistent_clamps(dist, n)[0]
         cold = F.optimal_step_function(dist, n)
         sizes = []
-        solve = np.linalg.solve
+        solve = F._solve1
 
-        def counted(a, b):
+        def counted(a, b, **kwargs):
             sizes.append(a.shape[0])
-            return solve(a, b)
+            return solve(a, b, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(F, "_solve1", counted)
         assert F.optimal_step_function(dist, n) == cold
         # the system of clamp i_a has half - i_a unknowns: none for 0 or half
         assert sizes and all(0 < m < half for m in sizes)
@@ -402,6 +399,48 @@ class TestLeanScan:
         # reference is the clamp search as it was before it galloped
         assert _scan_digest("nae3", 40, 100) == \
             "4b2d3451dd7bc5aba265e2177f73efada1082334d3213b12975df87a10772bc4"
+
+    def test_maxcut_scan_grid_pinned(self):
+        # the same grid for maxcut, whose optimum is the sign function; the
+        # reference is the search before its candidates were scored in
+        # closed form and it solved through the LAPACK gufunc
+        assert _scan_digest("maxcut", 40, 100) == \
+            "bc8e886752eb8d47cdb89131b0c89186d0a970bb2265303c0cbe67d2e3a0c872"
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+class TestSearchCandidates:
+    @pytest.mark.parametrize("problem, variant", CASES)
+    @pytest.mark.parametrize("n", [60, 100, 400])
+    def test_zero_and_sign_soundness_match_the_quadratic_forms(self, problem, variant, n):
+        # -0.97 and -0.99 take the Owen's-T kernel; rho = -1, alpha = 0 and
+        # alpha = 1 are the degenerate corners
+        for rho in (-1.0, -0.99, -0.97, -0.742, -1.0 / 3.0, -0.2, 0.0):
+            for alpha in (0.0, 0.05, 0.5, 0.7381, 1.0):
+                dist = HardDistribution(problem, alpha, rho, variant)
+                zero = F._soundness_from(F._zero_f2, dist)
+                sign = F._soundness_from(lambda r: F._sign_f2(n, r), dist)
+                assert _bits(zero) == _bits(F._soundness_values(np.zeros(n), dist, n))
+                assert _bits(sign) == _bits(F._soundness_values(F._sign_values(n), dist, n))
+
+    @pytest.mark.parametrize("problem, variant", CASES)
+    def test_singular_systems_are_inconsistent(self, monkeypatch, problem, variant):
+        # lam * R = -I makes every clamped system I + lam * R the zero matrix
+        n, half = 100, 50
+        monkeypatch.setattr(F, "_combined_reduced",
+                            lambda spec, n: -spec.lambda1 * np.eye(n // 2))
+        for alpha, rho in ((0.5, -0.5), (0.25, -0.9), (0.75, -0.2)):
+            dist = HardDistribution(problem, alpha, rho, variant)
+            lambda1 = F.kernel_spec(dist).lambda1
+            assert 1.0 + 1.0 / lambda1 * -lambda1 == 0.0
+            for hint in (None, 1, 10, half):
+                i_a, f, s, _, _ = F._search(dist, n, hint)  # warnings are errors here
+                assert i_a in (0, half)
+                assert np.array_equal(f, F._sign_values(n) if i_a else np.zeros(n))
+                assert s == F._soundness_values(f, dist, n)
 
 
 class TestSoundness:

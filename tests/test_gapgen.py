@@ -266,6 +266,27 @@ class TestAssignmentMoments:
             slack = 3 * (f2.std_error + f4.std_error) + 10.0 / n
             assert f4.value >= f2.value**2 - slack
 
+    @pytest.mark.parametrize("value", [2, 0.5, 0, -1.5, math.nan, "1", None])
+    def test_callable_rule_must_return_a_sign(self, value):
+        # the first representative drawn rounds to value, the rest to +1
+        calls = []
+
+        def rule(rep: G.SparseVec):
+            calls.append(rep)
+            return value if len(calls) == 1 else 1
+
+        with pytest.raises(DomainError):
+            G.assignment_moments(rule, 24, samples=50)
+
+    def test_callable_rule_accepts_any_exact_sign(self):
+        def parity(rep: G.SparseVec) -> int:
+            return rep.signs[0] * rep.signs[1] * rep.signs[2]
+
+        want = G.assignment_moments(parity, 24, samples=200, seed=3)
+        for cast in (float, np.int64, np.float64):
+            assert G.assignment_moments(lambda rep: cast(parity(rep)), 24, samples=200,
+                                        seed=3) == want
+
     @pytest.mark.parametrize("samples", [-1, 0, 1])
     def test_too_few_samples_rejected(self, samples):
         with pytest.raises(DomainError):
@@ -299,6 +320,15 @@ class TestEvaluateGap:
 
     @pytest.mark.parametrize("rule", [(1.5, 0.0), (math.nan, 0.0), (0.5, -0.1), (0.5, math.nan)])
     def test_rule_outside_unit_interval_rejected(self, small_gap, rule, monkeypatch):
+        self._assert_rejected(small_gap, rule, monkeypatch)
+
+    @pytest.mark.parametrize("rule", [(0.5,), (0.5, 0.5, 0.5), (), 0.5, None, "ab", ("0.5", 0.0),
+                                      (None, 0.0), (0.5, 1j), ([0.5], 0.0)])
+    def test_malformed_rule_rejected(self, small_gap, rule, monkeypatch):
+        self._assert_rejected(small_gap, rule, monkeypatch)
+
+    @staticmethod
+    def _assert_rejected(small_gap, rule, monkeypatch):
         with pytest.raises(DomainError):
             G.expected_fraction(small_gap, rule)
         with pytest.raises(DomainError):

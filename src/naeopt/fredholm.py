@@ -18,11 +18,10 @@ The zero function (i_a = 0, the homogeneous solution) and the sign
 function (i_a = N/2) are the other two candidates, and only i* is scored
 by quadratic forms: every F_2 of the zero function is +-0, so its
 soundness is closed form, and the sign function's F_2(rho) depends on N
-and rho alone, so one cached value serves a whole rho-slice.  Each system
-goes straight to the LAPACK gufunc behind np.linalg.solve; a singular one
-solves to NaN, which fails the consistency check, so it counts as
-inconsistent.  Grid scans take the winner's index, soundness and
-completeness straight from the search and build no GridFunction per point.
+and rho alone, so one cached value serves a whole rho-slice.  A singular
+system raises LinAlgError in np.linalg.solve and counts as inconsistent.
+Grid scans take the winner's index, soundness and completeness straight
+from the search and build no GridFunction per point.
 
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
@@ -210,12 +209,6 @@ def _combined_reduced(spec: KernelSpec, n: int) -> np.ndarray:
     return out
 
 
-# the LAPACK gufunc behind np.linalg.solve for one right-hand side: the same
-# bits without the wrapper's checks; a singular system solves to NaN and
-# sets the invalid flag instead of raising LinAlgError
-_solve1 = np.linalg._umath_linalg.solve1
-
-
 def _solve_half(R: np.ndarray, lam: float, i_a: int, n: int) -> np.ndarray:
     """Solve the odd-reduced clamped system; returns the full odd f (len n)."""
     half = n // 2
@@ -225,7 +218,7 @@ def _solve_half(R: np.ndarray, lam: float, i_a: int, n: int) -> np.ndarray:
         sys = lam * R[i_a:half, i_a:half]
         sys.flat[:: half - i_a + 1] += 1.0
         g = lam * R[i_a:half, :i_a].sum(axis=1)
-        f[i_a:half] = _solve1(sys, g, signature="dd->d")
+        f[i_a:half] = np.linalg.solve(sys, g)
     f[half:] = -f[:half][::-1]
     return f
 
@@ -246,19 +239,20 @@ def _soundness_from(f2, dist: HardDistribution) -> float:
     return a * (3.0 - 3.0 * f2_rho0) / 4.0 + (1.0 - a) * (3.0 - f2_one - 2.0 * f2_rho) / 4.0
 
 
+def _f2(fh: np.ndarray, f2_one: float, n: int, rho: float) -> float:
+    """F_2(rho) of the odd f of n cells with left half fh and F_2(1) = f2_one."""
+    if rho >= 1.0:
+        return f2_one
+    if rho <= -1.0:
+        return -f2_one
+    R = _reduced_kernel(n, round(float(rho), 14))
+    return float(2.0 / n * (fh @ R @ fh))
+
+
 def _soundness_values(f: np.ndarray, dist: HardDistribution, n: int) -> float:
     fh = f[: n // 2]
     f2_one = float(np.dot(f, f) / n)
-
-    def f2(rho: float) -> float:
-        if rho >= 1.0:
-            return f2_one
-        if rho <= -1.0:
-            return -f2_one
-        R = _reduced_kernel(n, round(float(rho), 14))
-        return float(2.0 / n * (fh @ R @ fh))
-
-    return _soundness_from(f2, dist)
+    return _soundness_from(lambda rho: _f2(fh, f2_one, n, rho), dist)
 
 
 def _zero_f2(rho: float) -> float:
@@ -268,14 +262,9 @@ def _zero_f2(rho: float) -> float:
 # a scan slice reads at most two correlations (rho, rho0), so 8 entries keep every reuse
 @lru_cache(maxsize=8)
 def _sign_f2(n: int, rho: float) -> float:
-    """F_2 of the sign function of n cells, by _soundness_values' arithmetic;
-    it depends on n and rho alone, so one value serves a whole rho-slice."""
-    if rho >= 1.0:
-        return 1.0
-    if rho <= -1.0:
-        return -1.0
-    fh = _sign_values(n)[: n // 2]
-    return float(2.0 / n * (fh @ _reduced_kernel(n, round(float(rho), 14)) @ fh))
+    """F_2 of the sign function of n cells; it depends on n and rho alone,
+    so one value serves a whole rho-slice."""
+    return _f2(_sign_values(n)[: n // 2], 1.0, n, rho)
 
 
 def soundness(f, dist: HardDistribution) -> float:
@@ -400,12 +389,14 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
 
     def ok(i_a: int) -> bool:
         if i_a not in found:
-            f = _solve_half(R, lam, i_a, n)
-            found[i_a] = f if _consistent_half(f[:half], i_a) else None
+            try:
+                f = _solve_half(R, lam, i_a, n)
+                found[i_a] = f if _consistent_half(f[:half], i_a) else None
+            except np.linalg.LinAlgError:
+                found[i_a] = None
         return found[i_a] is not None
 
-    with np.errstate(all="ignore"):  # a singular system solves to NaN: not consistent
-        i_star = _smallest_consistent_clamp(ok, half, hint)
+    i_star = _smallest_consistent_clamp(ok, half, hint)
     cands = [zero, sign]
     if i_star < half:
         cands.insert(1, (_soundness_values(found[i_star], dist, n), i_star))

@@ -47,6 +47,11 @@ def _convert(kind, tokens: list[str], lineno: int, what: str) -> list:
 
 
 def parse_instance(text: str) -> NAEInstance:
+    return _parse_instance_lines(text)
+
+
+def _parse_instance_lines(text: str) -> NAEInstance:
+    """The line-by-line parser: the source of every line-numbered error."""
     num_vars = None
     declared = None
     clauses = []
@@ -101,6 +106,11 @@ def read_vector_rows(text: str) -> tuple[int, int, tuple, dict]:
     """(num_vars, dim, (ids, indices, signs), dense) of a vector file: the sparse
     rows as int arrays in file order, (m,), (m, 3) 0-based and (m, 3), and
     ``dense[id]``, a dense row's float array."""
+    return _read_vector_rows_lines(text)
+
+
+def _read_vector_rows_lines(text: str) -> tuple[int, int, tuple, dict]:
+    """read_vector_rows line by line: the source of every line-numbered error."""
     header = None
     seen: set[int] = set()
     ids: list[int] = []

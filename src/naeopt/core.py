@@ -275,37 +275,133 @@ class Clause:
         object.__setattr__(self, "weight", float(self.weight))
 
 
-@dataclass(frozen=True)
+def _out_of_range(literals, n: int) -> StructuralError:
+    bad = next(l for l in literals if abs(l) > n)
+    return StructuralError(f"literal {bad} out of range for {n} variables")
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class NAEInstance:
-    """Weighted NAE clauses over signed literals of n variables."""
+    """Weighted NAE clauses over signed literals of n variables, stored by size.
+
+    ``clause_groups`` holds one read-only (literals (m, k), weights (m,))
+    pair per clause size k, in order of first use, and clause i is row
+    ``clause_row[i]`` of group ``clause_group[i]``.  ``NAEInstance(n,
+    clauses)`` takes Clause objects; ``from_groups`` takes the arrays.
+    """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clause_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    clause_group: np.ndarray
+    clause_row: np.ndarray
 
-    def __post_init__(self):
-        n = self.num_vars
-        for c in self.clauses:
-            if max(map(abs, c.literals)) > n:
-                bad = next(l for l in c.literals if abs(l) > n)
-                raise StructuralError(f"literal {bad} out of range for {n} variables")
-        object.__setattr__(self, "clauses", tuple(self.clauses))
+    def __init__(self, num_vars: int, clauses):
+        clauses = tuple(clauses)
+        for c in clauses:
+            if max(map(abs, c.literals)) > num_vars:
+                raise _out_of_range(c.literals, num_vars)
+        sizes: dict[int, int] = {}
+        group = [sizes.setdefault(len(c.literals), len(sizes)) for c in clauses]
+        groups = [(np.array([c.literals for c in clauses if len(c.literals) == k], np.int64),
+                   np.array([c.weight for c in clauses if len(c.literals) == k])) for k in sizes]
+        self._store(num_vars, groups, np.array(group, dtype=np.intp))
+        self.__dict__["clauses"] = clauses
+
+    @classmethod
+    def from_groups(cls, num_vars: int, groups, clause_group) -> "NAEInstance":
+        """The instance whose clause i is the next unused row of group
+        ``clause_group[i]``; ``groups`` as in ``clause_groups``.  Runs the
+        checks of Clause and of the constructor on the arrays: the first
+        offending clause raises the message it raises there."""
+        groups = [(np.asarray(lits), np.array(w, dtype=float)) for lits, w in groups]
+        if any(lits.dtype.kind not in "iu" for lits, _ in groups):
+            raise StructuralError("literals must be integers")
+        inst = cls.__new__(cls)
+        inst._store(num_vars, [(lits.astype(np.int64), w) for lits, w in groups],
+                    np.array(clause_group, dtype=np.intp))
+        bad = inst._first_clause([~((w > 0.0) & (w < math.inf)) | _malformed_rows(lits)
+                                  for lits, w in inst.clause_groups])
+        if bad is not None:  # Clause raises the message
+            Clause(float(inst.clause_weights[bad]), inst._literal_rows()[bad])
+        bad = inst._first_clause([(np.abs(lits) > num_vars).any(axis=1)
+                                  for lits, _ in inst.clause_groups])
+        if bad is not None:
+            raise _out_of_range(inst._literal_rows()[bad], num_vars)
+        return inst
+
+    def _store(self, num_vars, groups, clause_group) -> None:
+        row = np.empty_like(clause_group)
+        for g, (lits, w) in enumerate(groups):
+            mine = clause_group == g
+            if lits.ndim != 2 or len(lits) != len(w) or np.count_nonzero(mine) != len(w):
+                raise StructuralError("every group needs one (literals, weight) row per clause")
+            row[mine] = np.arange(len(w))
+        for a in (clause_group, row, *(a for pair in groups for a in pair)):
+            a.setflags(write=False)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clause_groups", tuple(map(tuple, groups)))
+        object.__setattr__(self, "clause_group", clause_group)
+        object.__setattr__(self, "clause_row", row)
+
+    @cached_property
+    def _clause_index(self) -> np.ndarray:
+        """Each clause's row in the groups stacked in order."""
+        starts = np.cumsum([0] + [len(w) for _, w in self.clause_groups])
+        return starts[self.clause_group] + self.clause_row
+
+    def in_clause_order(self, per_group) -> np.ndarray:
+        """Stack one array per group (rows in group order) into clause order."""
+        return np.concatenate(per_group)[self._clause_index] if per_group else np.empty(0)
+
+    def _first_clause(self, flags_per_group) -> int | None:
+        flags = self.in_clause_order(flags_per_group)
+        return int(np.argmax(flags)) if flags.any() else None
+
+    def rows_in_clause_order(self, per_group: list[list]) -> list:
+        """Merge one list per group (rows in group order) into clause order."""
+        return [per_group[g][r]
+                for g, r in zip(self.clause_group.tolist(), self.clause_row.tolist())]
+
+    def _literal_rows(self) -> list[list[int]]:
+        return self.rows_in_clause_order([lits.tolist() for lits, _ in self.clause_groups])
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as Clause objects, built on first use."""
+        return tuple(map(Clause, self.clause_weights.tolist(), self._literal_rows()))
+
+    @cached_property
+    def clause_weights(self) -> np.ndarray:
+        """Read-only weight of every clause, in clause order."""
+        w = self.in_clause_order([w for _, w in self.clause_groups])
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def total_weight(self) -> float:
-        return sum(c.weight for c in self.clauses)
+        return sum(self.clause_weights.tolist())  # in clause order, as the Clause objects summed
 
-    @cached_property
-    def clause_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only (literals (m, k), weights (m,)) per clause size k, in order of first use."""
-        by_size: dict[int, list[Clause]] = {}
-        for cl in self.clauses:
-            by_size.setdefault(len(cl.literals), []).append(cl)
-        groups = tuple((np.array([c.literals for c in cls]), np.array([c.weight for c in cls]))
-                       for cls in by_size.values())
-        for lits, weights in groups:
-            lits.setflags(write=False)
-            weights.setflags(write=False)
-        return groups
+    def __eq__(self, other):
+        if not isinstance(other, NAEInstance):
+            return NotImplemented
+        return (self.num_vars == other.num_vars
+                and np.array_equal(self.clause_group, other.clause_group)
+                and all(np.array_equal(a, b) for mine, theirs in zip(self.clause_groups,
+                                                                     other.clause_groups)
+                        for a, b in zip(mine, theirs)))
+
+    def __hash__(self):
+        return hash((self.num_vars, self.clause_group.size))
+
+    def __repr__(self):
+        return f"NAEInstance(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
+
+
+def _malformed_rows(lits: np.ndarray) -> np.ndarray:
+    """Rows with fewer than 2 literals, a literal 0 or a repeated variable."""
+    mag = np.sort(np.abs(lits), axis=1)
+    return ((mag[:, :1] == 0).any(axis=1) | (mag[:, 1:] == mag[:, :-1]).any(axis=1)
+            | (mag.shape[1] < 2))
 
 
 @dataclass(frozen=True)

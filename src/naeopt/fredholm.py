@@ -181,15 +181,18 @@ def _reduced_kernel(n: int, rho_key: float) -> np.ndarray:
     """_odd_reduced of the cell-pair masses at correlation rho_key: the
     Mehler series R = 2N U diag(rho^k) U^T truncated at K(rho) (module
     docstring), or the Owen's-T lattice past _MEHLER_MAX_DEGREE."""
+    degree = math.ceil(math.log(_MEHLER_TAIL) / math.log(abs(rho_key))) if rho_key else 0
     if rho_key == 0.0:
-        return np.zeros((n // 2, n // 2))
-    degree = math.ceil(math.log(_MEHLER_TAIL) / math.log(abs(rho_key)))
-    if degree > _MEHLER_MAX_DEGREE:
+        out = np.zeros((n // 2, n // 2))
+    elif degree > _MEHLER_MAX_DEGREE:
         e = equal_mass_edges(n)
-        return _odd_reduced(moments.rect_lattice(e[: n // 2 + 1], e, rho_key))
-    u = _cell_coeffs(n, (degree + 1) // 2)
-    k = np.arange(1, 2 * u.shape[1], 2)
-    return (2.0 * n * rho_key ** k * u) @ u.T
+        out = _odd_reduced(moments.rect_lattice(e[: n // 2 + 1], e, rho_key))
+    else:
+        u = _cell_coeffs(n, (degree + 1) // 2)
+        k = np.arange(1, 2 * u.shape[1], 2)
+        out = (2.0 * n * rho_key ** k * u) @ u.T
+    out.setflags(write=False)  # the cache hands out this very array
+    return out
 
 
 def build_kernel_matrix(spec: KernelSpec, n: int) -> np.ndarray:
@@ -202,10 +205,13 @@ def build_kernel_matrix(spec: KernelSpec, n: int) -> np.ndarray:
 
 
 def _combined_reduced(spec: KernelSpec, n: int) -> np.ndarray:
-    out = None
-    for w, r in spec.terms:
-        block = _reduced_kernel(n, round(float(r), 14))
-        out = w * block if out is None else out + w * block
+    """sum_j w_j R(rho_j); one term of weight 1 is the cached block itself."""
+    (w, r), *rest = spec.terms
+    out = _reduced_kernel(n, round(float(r), 14))
+    if rest or w != 1.0:
+        out = w * out
+    for w, r in rest:
+        out = out + w * _reduced_kernel(n, round(float(r), 14))
     return out
 
 

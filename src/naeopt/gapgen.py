@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Clause, NAEInstance, VectorAssignment
+from .core import NAEInstance, VectorAssignment
 from .errors import DomainError, StructuralError
 from .hardness import F2_STAR, P_STAR, mixture_value
 from .moments import MomentEstimate
@@ -145,9 +145,11 @@ class GapInstance:
     @cached_property
     def clause_vectors(self) -> tuple[tuple[SparseVec, ...], ...]:
         """Each clause's vectors; a negative literal is the negated variable."""
-        neg = [v.negate() for v in self.variables]
-        return tuple(tuple(self.variables[l - 1] if l > 0 else neg[-l - 1] for l in c.literals)
-                     for c in self.instance.clauses)
+        signed = self.variables + tuple(v.negate() for v in self.variables)
+        rows = [[tuple(map(signed.__getitem__, r))
+                 for r in np.where(lits > 0, lits - 1, len(self.variables) - lits - 1).tolist()]
+                for lits, _ in self.instance.clause_groups]
+        return tuple(self.instance.rows_in_clause_order(rows))
 
     @property
     def positives(self) -> np.ndarray:
@@ -159,9 +161,9 @@ class GapInstance:
         np.put_along_axis(vectors, self.indices, self.signs / SQRT3, axis=1)
         return VectorAssignment(vectors)
 
-    def sparse_rows(self) -> dict[int, tuple]:
-        rows = map(tuple, map(zip, self.indices.tolist(), self.signs.tolist()))
-        return dict(zip(range(1, len(self.indices) + 1), rows))
+    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, signs) of every variable, as ``pipeline.format_vectors`` takes them."""
+        return self.indices, self.signs
 
 
 def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
@@ -188,11 +190,11 @@ def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))  # variable ids in order of first occurrence
     lits = (rank[inverse] + 1) * orient
-    w3, w5 = WEIGHT_3 / m3, WEIGHT_5 / m5
-    clauses = [Clause(w3, tuple(c)) for c in lits[:3 * m3].reshape(m3, 3).tolist()]
-    clauses += [Clause(w5, tuple(c)) for c in lits[3 * m3:].reshape(m5, 5).tolist()]
+    groups = [(lits[:3 * m3].reshape(m3, 3), np.full(m3, WEIGHT_3 / m3)),
+              (lits[3 * m3:].reshape(m5, 5), np.full(m5, WEIGHT_5 / m5))]
+    inst = NAEInstance.from_groups(first.size, groups, np.repeat([0, 1], [m3, m5]))
     rep = np.sort(first)
-    return GapInstance(n, m3, m5, ind[rep], sg[rep], NAEInstance(first.size, tuple(clauses)))
+    return GapInstance(n, m3, m5, ind[rep], sg[rep], inst)
 
 
 def load_gap(instance_text: str, vector_text: str) -> GapInstance:
@@ -209,6 +211,8 @@ def load_gap(instance_text: str, vector_text: str) -> GapInstance:
     if np.any((signs > 0).sum(axis=1) < 2):
         raise StructuralError("gap vector rows must be canonical: at least 2 positive signs")
     sizes = {lits.shape[1]: len(lits) for lits, _ in inst.clause_groups}
+    if not sizes.keys() <= {3, 5}:
+        raise StructuralError(f"gap instance clauses have 3 or 5 literals, not {sorted(sizes)}")
     return GapInstance(n, sizes.get(3, 0), sizes.get(5, 0), indices, signs, inst)
 
 

@@ -22,6 +22,13 @@ with lit = +-(1-based variable index).  Vector file:
 Sparse rows carry exactly three distinct signed coordinates (the
 gap-instance format); indices are 1-based in files.  Every id from 1 to
 num_vars has exactly one row.
+
+The readers take a file in one vectorized pass when it has the shape the
+writers give it: ASCII, 'c' comments only before the header, single
+spaces, one clause or row per line, integer fields as plain digits, and
+instance weights and dense coordinates as plain decimals.  Any other file,
+and any file that fails a check, goes to the line-by-line parsers, which
+read it as before and raise every line-numbered StructuralError.
 """
 
 from __future__ import annotations
@@ -46,8 +53,113 @@ def _convert(kind, tokens: list[str], lineno: int, what: str) -> list:
         raise StructuralError(f"line {lineno}: malformed {what}: {err}") from err
 
 
+# byte classes of the bulk readers; class 0 is a byte only the line parsers read
+_DIGIT, _SP, _NL, _MINUS, _PLUS, _DOT, _EXP = range(1, 8)
+_CLASS = np.zeros(256, np.uint8)
+_CLASS[ord("0"): ord("9") + 1] = _DIGIT
+for _ch, _cls in zip(" \n-+.eE", (_SP, _NL, _MINUS, _PLUS, _DOT, _EXP, _EXP)):
+    _CLASS[ord(_ch)] = _cls
+
+
+def _class_table(allowed: dict) -> np.ndarray:
+    table = np.zeros((8, 8), bool)
+    for cls, others in allowed.items():
+        table[cls, list(others)] = True
+    return table
+
+
+# Each token must read -?D+(.D+)?(e[+-]?D+)?: the byte before and after
+# every non-digit byte, and the next non-digit byte after it (an exponent's
+# sign counts as _PLUS), must be allowed here.
+_ANY = range(8)
+_BEFORE = _class_table({_SP: [_DIGIT], _NL: [_DIGIT], _MINUS: [_SP, _NL, _EXP],
+                        _PLUS: [_EXP], _DOT: [_DIGIT], _EXP: [_DIGIT]})
+_AFTER = _class_table({_SP: _ANY, _NL: _ANY, _MINUS: [_DIGIT], _PLUS: [_DIGIT],
+                       _DOT: [_DIGIT], _EXP: [_DIGIT, _MINUS, _PLUS]})
+_THEN = _class_table({_SP: _ANY, _NL: _ANY, _MINUS: [_DOT, _EXP, _SP, _NL],
+                      _PLUS: [_SP, _NL], _DOT: [_EXP, _SP, _NL], _EXP: [_PLUS, _SP, _NL]})
+
+
+def _bulk_split(text: str, head: list[str]) -> tuple[list[int], str] | None:
+    """(header counts, body ending in a newline) for the bulk readers, or None:
+    the text must be ASCII, with only printable 'c' comment lines before a
+    header of ``head`` and two digit strings, single-space separated."""
+    if not text.isascii():
+        return None
+    start = 0
+    while text.startswith("c", start):
+        end = text.find("\n", start)
+        if end < 0 or not text[start:end].isprintable():
+            return None
+        start = end + 1
+    end = text.find("\n", start)
+    end = len(text) if end < 0 else end
+    fields = text[start:end].split(" ")
+    if fields[:-2] != head or not all(f.isdigit() for f in fields[-2:]):
+        return None
+    body = text[end + 1:]
+    if not body:
+        return None
+    return [int(f) for f in fields[-2:]], body if body.endswith("\n") else body + "\n"
+
+
+def _scan(body: str):
+    """(values, first token of each line, tokens per line, which tokens have a
+    '.' or an exponent) of a body of decimal tokens, each line's separated by
+    single spaces; None unless every token reads -?D+(.D+)?(e[+-]?D+)?."""
+    b = np.frombuffer(body.encode(), np.uint8)
+    at = np.flatnonzero((b < ord("0")) | (b > ord("9")))
+    cls = _CLASS[b[at]]
+    before = _CLASS[b[at - 1]]  # the body ends in a newline: b[-1] stands in before b[0]
+    after = _CLASS[b[(at + 1) % b.size]]
+    then = np.where((cls == _MINUS) & (before == _EXP), _PLUS, cls)
+    if not (_BEFORE[cls, before].all() and _AFTER[cls, after].all()
+            and _THEN[then[:-1], then[1:]].all()):
+        return None
+    sep = (cls == _SP) | (cls == _NL)
+    token = np.cumsum(sep) - sep  # token of each non-digit byte, a separator ending its own
+    last = token[cls == _NL]
+    count = np.diff(last, prepend=-1)
+    values = np.fromstring(body, sep=" ")
+    if values.size != np.count_nonzero(sep):
+        return None
+    decimal = np.zeros(values.size, bool)
+    decimal[token[(cls == _DOT) | (cls == _EXP)]] = True
+    return values, last - count + 1, count, decimal
+
+
+def _parse_instance_bulk(text: str) -> NAEInstance | None:
+    split = _bulk_split(text, ["p", "nae"])
+    if split is None:
+        return None
+    (num_vars, declared), body = split
+    scan = _scan(body)
+    if scan is None:
+        return None
+    values, first, count, decimal = scan
+    k = count - 2
+    if len(first) != declared or k.min() < 0 or decimal.sum() != decimal[first].sum():
+        return None  # decimal points and exponents only in weights
+    if not np.array_equal(values[first + 1], k):
+        return None
+    _, first_use, size = np.unique(k, return_index=True, return_inverse=True)
+    clause_group = np.argsort(np.argsort(first_use))[size]
+    groups = []
+    for rows in np.split(np.argsort(clause_group, kind="stable"),
+                         np.cumsum(np.bincount(clause_group))[:-1]):
+        lits = values[first[rows, None] + 2 + np.arange(k[rows[0]])]
+        if not (np.abs(lits) <= num_vars).all():  # before the cast: huge tokens read as inf
+            return None
+        groups.append((lits.astype(np.int64), values[first[rows]]))
+    try:
+        return NAEInstance.from_groups(num_vars, groups, clause_group)
+    except StructuralError:
+        return None
+
+
 def parse_instance(text: str) -> NAEInstance:
-    return _parse_instance_lines(text)
+    inst = _parse_instance_bulk(text)
+    return _parse_instance_lines(text) if inst is None else inst
 
 
 def _parse_instance_lines(text: str) -> NAEInstance:
@@ -90,23 +202,95 @@ def _parse_instance_lines(text: str) -> NAEInstance:
 
 
 def format_instance(inst: NAEInstance, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines += [f"c {c}" for c in comment.splitlines()]
-    lines.append(f"p nae {inst.num_vars} {len(inst.clauses)}")
-    for cl in inst.clauses:
-        lines.append(f"{cl.weight!r} {len(cl.literals)} " + " ".join(map(str, cl.literals)))
-    return "\n".join(lines) + "\n"
+    lines = [f"c {c}" for c in comment.splitlines()] if comment else []
+    lines.append(f"p nae {inst.num_vars} {inst.clause_group.size}")
+    groups = []
+    for lits, w in inst.clause_groups:
+        m, k = lits.shape
+        weights, which = np.unique(w, return_inverse=True)  # repr each distinct weight once
+        text = list(map(repr, weights.tolist()))
+        fields = [None] * (m * (k + 1))
+        fields[::k + 1] = [text[i] for i in which.tolist()]
+        for j in range(k):
+            fields[j + 1::k + 1] = lits[:, j].tolist()
+        groups.append(((f"%s {k}" + " %d" * k + "\n") * m % tuple(fields)).splitlines())
+    return "\n".join(lines + inst.rows_in_clause_order(groups)) + "\n"
 
 
 _SQRT3 = math.sqrt(3.0)
+
+
+# the non-digit bytes of a sparse row "<id> s <i>:<+-1> <j>:<+-1> <k>:<+-1>", with
+# the least and most digits before each (the id, the indices, the sign's 1)
+_SPARSE_ROW = np.frombuffer(b" s :+ :+ :+\n", np.uint8)
+_SPARSE_DIGITS = (np.array([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1]),
+                  np.array([np.inf, 0, 0, np.inf, 0, 1, np.inf, 0, 1, np.inf, 0, 1]))
+_SIGNS = [4, 7, 10]
+
+
+def _sparse_rows_bulk(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """((n, 4) ids and 1-based indices as floats, (n, 3) signs) of n sparse rows, or None."""
+    b = np.frombuffer(body.encode(), np.uint8)
+    at = np.flatnonzero((b < ord("0")) | (b > ord("9")))
+    if at.size != 12 * n:
+        return None
+    at = at.reshape(n, 12)
+    digits = np.diff(at, axis=1, prepend=np.r_[-1, at[:-1, -1]][:, None]) - 1
+    found = b[at]
+    signs = found[:, _SIGNS]
+    found[:, _SIGNS] = np.where(signs == ord("-"), ord("+"), signs)
+    if not (np.all(found == _SPARSE_ROW) and np.all(b[at[:, _SIGNS] + 1] == ord("1"))
+            and np.all(digits >= _SPARSE_DIGITS[0]) and np.all(digits <= _SPARSE_DIGITS[1])):
+        return None
+    ends, width = at[:, [0, 3, 6, 9]], digits[:, [0, 3, 6, 9]]  # the id and the indices
+    if width.max() > 15:  # the float sums below stay exact
+        return None
+    numbers = np.zeros(ends.shape)
+    for place in range(width.max()):
+        digit = b[ends - 1 - place] - float(ord("0"))
+        numbers += np.where(place < width, digit, 0.0) * 10.0 ** place
+    return numbers, np.where(signs == ord("-"), -1, 1)
+
+
+def _dense_rows_bulk(body: str, n: int, dim: int) -> np.ndarray | None:
+    """(n, dim + 1) rows (id, x_1, ..., x_dim), or None."""
+    scan = _scan(body)
+    if scan is None:
+        return None
+    values, first, count, decimal = scan
+    if len(first) != n or np.any(count != dim + 1) or decimal[first].any():
+        return None
+    return values.reshape(n, dim + 1)
+
+
+def _read_vector_rows_bulk(text: str) -> tuple | None:
+    split = _bulk_split(text, ["v"])
+    if split is None or min(split[0]) < 1:
+        return None
+    (n, dim), body = split
+    sparse = " s " in body
+    found = _sparse_rows_bulk(body, n) if sparse else _dense_rows_bulk(body, n, dim)
+    if found is None:
+        return None
+    numbers = found[0] if sparse else found[:, :1]
+    ids, indices = numbers[:, 0], numbers[:, 1:]
+    if not (np.all((ids >= 1) & (ids <= n)) and np.all((indices >= 1) & (indices <= dim))):
+        return None  # checked before the casts: huge tokens read as inf
+    ids, indices = ids.astype(np.int64), indices.astype(np.int64) - 1
+    if np.bincount(ids).max() > 1 or np.any(indices == np.roll(indices, 1, axis=1)):
+        return None
+    if sparse:
+        return n, dim, (ids, indices, found[1]), {}
+    none = np.empty((0, 3), np.int64)
+    return n, dim, (none[:, 0], none, none), dict(zip(ids.tolist(), found[:, 1:]))
 
 
 def read_vector_rows(text: str) -> tuple[int, int, tuple, dict]:
     """(num_vars, dim, (ids, indices, signs), dense) of a vector file: the sparse
     rows as int arrays in file order, (m,), (m, 3) 0-based and (m, 3), and
     ``dense[id]``, a dense row's float array."""
-    return _read_vector_rows_lines(text)
+    rows = _read_vector_rows_bulk(text)
+    return _read_vector_rows_lines(text) if rows is None else rows
 
 
 def _read_vector_rows_lines(text: str) -> tuple[int, int, tuple, dict]:
@@ -177,17 +361,21 @@ def parse_vectors(text: str) -> VectorAssignment:
     return VectorAssignment(vectors)
 
 
-def format_vectors(va: VectorAssignment, sparse_signs: dict[int, tuple] | None = None) -> str:
-    """Dense rows by default; ``sparse_signs[vid] = ((i, s), (j, s), (k, s))``
-    (0-based indices) switches a row to the exact sparse form."""
-    lines = [f"v {va.num_vars} {va.dim}"]
-    for vid in range(1, va.num_vars + 1):
-        if sparse_signs and vid in sparse_signs:
-            (i, s), (j, t), (k, u) = sparse_signs[vid]
-            lines.append(f"{vid} s {i + 1}:{s:+d} {j + 1}:{t:+d} {k + 1}:{u:+d}")
-        else:
-            lines.append(f"{vid} " + " ".join(repr(float(x)) for x in va.vectors[vid - 1]))
-    return "\n".join(lines) + "\n"
+def format_vectors(va: VectorAssignment, sparse_signs: tuple | None = None) -> str:
+    """Dense rows by default; ``sparse_signs = (indices, signs)``, (num_vars, 3)
+    int arrays with 0-based indices, writes every row in the exact sparse form."""
+    header = f"v {va.num_vars} {va.dim}\n"
+    if sparse_signs is None:
+        return header + "".join(f"{vid} " + " ".join(map(repr, row)) + "\n"
+                                for vid, row in enumerate(va.vectors.tolist(), start=1))
+    indices, signs = sparse_signs
+    if indices.shape != (va.num_vars, 3) or signs.shape != indices.shape:
+        raise StructuralError("sparse rows need 3 indices and 3 signs per vector")
+    rows = np.empty((va.num_vars, 7), np.int64)
+    rows[:, 0] = np.arange(1, va.num_vars + 1)
+    rows[:, 1::2] = indices + 1
+    rows[:, 2::2] = signs
+    return header + "%d s %d:%+d %d:%+d %d:%+d\n" * va.num_vars % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +397,21 @@ def rpr2_round(vectors: VectorAssignment, f: StepFunction, seed: int,
     return np.where(u < p_one, 1, -1).astype(np.int8)
 
 
+def _not_all_equal(assignments: np.ndarray, lits: np.ndarray) -> np.ndarray:
+    """NAE of each clause row of ``lits`` under each assignment (leading axes)."""
+    vals = assignments[..., np.abs(lits) - 1] * np.sign(lits)
+    return vals.max(axis=-1) != vals.min(axis=-1)
+
+
 def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
     """Weighted fraction of clauses with literal values not all equal."""
     assignment = np.asarray(assignment)
     if assignment.shape != (inst.num_vars,) or np.any(np.abs(assignment) != 1):
         raise StructuralError("assignment must map every variable to +-1")
-    a = assignment.tolist()
-    sat = 0.0
-    for cl in inst.clauses:
-        if len({a[l - 1] if l > 0 else -a[-l - 1] for l in cl.literals}) > 1:
-            sat += cl.weight
-    return sat / inst.total_weight
+    sat = inst.in_clause_order([_not_all_equal(assignment, lits) for lits, _ in inst.clause_groups])
+    weights = inst.clause_weights[sat.astype(bool)]
+    # the satisfied weights added one at a time in clause order, as a loop would
+    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0) / inst.total_weight
 
 
 def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
@@ -227,16 +419,14 @@ def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
     assignments = np.atleast_2d(np.asarray(assignments))
     sat = np.zeros(assignments.shape[0])
     for lits, w in inst.clause_groups:
-        vals = assignments[:, np.abs(lits) - 1] * np.sign(lits)  # (rows, m, k)
-        ok = vals.max(axis=2) != vals.min(axis=2)
-        sat += ok @ w
+        sat += _not_all_equal(assignments, lits) @ w
     return sat / inst.total_weight
 
 
 def random_baseline(inst: NAEInstance) -> float:
     """Expected value of a uniform assignment: sum w (1 - 2^(1-k)) / sum w."""
-    tot = sum(c.weight * (1.0 - 2.0 ** (1 - len(c.literals))) for c in inst.clauses)
-    return tot / inst.total_weight
+    terms = [w * (1.0 - 2.0 ** (1 - lits.shape[1])) for lits, w in inst.clause_groups]
+    return sum(inst.in_clause_order(terms).tolist()) / inst.total_weight
 
 
 def best_of_rounds(inst: NAEInstance, vectors: VectorAssignment, f: StepFunction,

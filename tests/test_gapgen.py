@@ -116,6 +116,12 @@ class TestGeneration:
         with pytest.raises(StructuralError):
             G.load_gap("p nae 3 1\n1.0 3 1 2 3\n", vectors)
 
+    @pytest.mark.parametrize("clauses", ["1.0 2 1 2\n1.0 4 1 2 3 4\n", "1.0 3 1 2 3\n1.0 4 1 2 3 4\n"])
+    def test_load_rejects_other_clause_sizes(self, small_gap, clauses):
+        vectors = _files(small_gap)[1]
+        with pytest.raises(StructuralError, match="3 or 5 literals"):
+            G.load_gap(f"p nae {small_gap.instance.num_vars} 2\n{clauses}", vectors)
+
     def test_arrays_match_the_objects(self, gap):
         variables = gap.variables
         assert gap.positives.tolist() == [v.positives for v in variables]
@@ -126,8 +132,9 @@ class TestGeneration:
         got = gap.vector_assignment().vectors.tobytes()
         assert got == VectorAssignment(dense).vectors.tobytes()
         assert got == P.parse_vectors(_files(gap)[1]).vectors.tobytes()
-        assert gap.sparse_rows() == {vid: tuple(zip(v.indices, v.signs))
-                                     for vid, v in enumerate(variables, start=1)}
+        indices, signs = gap.sparse_rows()
+        assert indices.tolist() == [list(v.indices) for v in variables]
+        assert signs.tolist() == [list(v.signs) for v in variables]
         for arr in (gap.indices, gap.signs):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0

@@ -9,11 +9,14 @@ StructuralError with the same text.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from naeopt import cli
 from naeopt import gapgen as G
 from naeopt import pipeline as P
+from naeopt.core import Clause, NAEInstance, VectorAssignment
 from naeopt.errors import StructuralError
 
 _GAP = G.gen_gap_instance(12, 4, 3, seed=5)
@@ -30,7 +33,7 @@ BASES = {
 JUNK = ["nan", "NaN", "inf", "-inf", "1.0", "1e3", "3.", ".5", "-0", "0", "+1", "1_0",
         "-٣", "٣", "99999999999999999999999", "-18446744073709551617", "1e400",
         "1e-400", "x", "s", ":", "1:+1", "--1", "1e", "1.2.3", "", "e5", "-1", "2", "p",
-        "v 3 3", "c", "p nae 6 1", "1 s 1:+1 2:+1 3:+1"]
+        "v 3 3", "c", "p nae 6 1", "1 s 1:+1 2:+1 3:+1", "1:+11", "2s"]
 
 _SEPARATED = re.compile(r"(\s+)")
 
@@ -155,6 +158,9 @@ def test_instance_edge_cases_read_the_same(text):
 @pytest.mark.parametrize("text", [
     "v 2 3\n1 s 1:1 2:1 3:1\n2 s 1:+1 2:-1 3:+1\n",
     "v 2 3\n1 s 1:+1 2:+1 3:+1 4:+1\n2 s 1:+1 2:-1 3:+1\n",
+    "v 2 3\n1 s 1:+1 2:+11 3:+1\n2 s 1:+1 2:-1 3:+1\n",
+    "v 2 3\n1 s2 1:+1 2:+1 3:+1\n2 s 1:+1 2:-1 3:+1\n",
+    "v 2 3\n1 s 1:1+1 2:+1 3:+1\n2 s 1:+1 2:-1 3:+1\n",
     "v 2 3\n1 s 1:+1:2 2:+1 3:+1\n2 s 1:+1 2:-1 3:+1\n",
     "v 2 3\n1 s 1:+1 2:+1 3:+٣\n2 s 1:+1 2:-1 3:+1\n",
     "v 2 3\n١ s 1:+1 2:+1 3:+1\n2 s 1:+1 2:-1 3:+1\n",
@@ -186,3 +192,42 @@ def test_instance_edge_cases_read_the_same(text):
 ])
 def test_vector_edge_cases_read_the_same(text):
     assert_readers_agree("vectors", text)
+
+
+class TestBulkPathCoverage:
+    """The files the writers and ``naeopt gap gen`` produce must load without
+    the line parsers: a silent fall back would keep every bit and lose the
+    bulk readers' speed."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_parsers(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line parser read a file the bulk reader should")
+
+        monkeypatch.setattr(P, "_parse_instance_lines", refuse)
+        monkeypatch.setattr(P, "_read_vector_rows_lines", refuse)
+
+    def test_gap_gen_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gap", "gen", "--n", "24", "--m3", "50", "--m5", "40", "--seed", "3",
+                         "--out", "g"]) == 0
+        inst_text = (tmp_path / "g_instance.nae").read_text()
+        assert inst_text.startswith("c gap instance")
+        gap = G.load_gap(inst_text, (tmp_path / "g_vectors.txt").read_text())
+        assert gap.instance == G.gen_gap_instance(24, 50, 40, seed=3).instance
+
+    def test_written_instances(self, rng):
+        clauses = [Clause(float(rng.uniform(1e-9, 1e9)),
+                          tuple(int(l) * int(rng.choice([-1, 1]))
+                                for l in rng.choice(np.arange(1, 30), size=k, replace=False)))
+                   for k in rng.integers(2, 7, size=200)]
+        inst = NAEInstance(29, clauses)
+        assert P.parse_instance(P.format_instance(inst, comment="two\nlines")) == inst
+
+    def test_written_vectors(self, rng):
+        v = rng.normal(size=(40, 5)) * np.logspace(-30, 30, 5)
+        va = VectorAssignment(v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert np.array_equal(P.parse_vectors(P.format_vectors(va)).vectors, va.vectors)
+        gap = G.gen_gap_instance(12, 5, 5, seed=1)
+        text = P.format_vectors(gap.vector_assignment(), gap.sparse_rows())
+        assert np.array_equal(P.parse_vectors(text).vectors, gap.vector_assignment().vectors)

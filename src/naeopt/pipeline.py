@@ -398,9 +398,9 @@ def rpr2_round(vectors: VectorAssignment, f: StepFunction, seed: int,
 
 
 def _not_all_equal(assignments: np.ndarray, lits: np.ndarray) -> np.ndarray:
-    """NAE of each clause row of ``lits`` under each assignment (leading axes)."""
-    vals = assignments[..., np.abs(lits) - 1] * np.sign(lits)
-    return vals.max(axis=-1) != vals.min(axis=-1)
+    """NAE of each clause row of ``lits`` under each +-1 assignment (leading axes)."""
+    true = ((assignments > 0)[..., np.abs(lits) - 1] != (lits < 0)).sum(axis=-1)
+    return (true > 0) & (true < lits.shape[1])
 
 
 def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:

@@ -150,6 +150,8 @@ def test_unmutated_files_read_the_same(base):
     "p nae 0 0",
     "p nae 3 2\n1.0 2 1 2\n",
     "1.0 2 1 2\np nae 3 1\n",
+    "p nae 99999999999999999999 1\n1.0 2 1 2\n",
+    "p nae 3 99999999999999999999\n1.0 2 1 2\n",
 ])
 def test_instance_edge_cases_read_the_same(text):
     assert_readers_agree("instance", text)
@@ -189,6 +191,9 @@ def test_instance_edge_cases_read_the_same(text):
     "v 0 2\n",
     "v 1 2\nv 1 2\n1 1.0 0.0\n",
     "c x\nv 1 3\n1 s 1:-1 2:+1 3:+1\n",
+    "v 99999999999999999999 3\n1 s 1:+1 2:+1 3:+1\n",
+    "v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n",
+    "v 1 99999999999999999999\n1 0.5 0.5\n",
 ])
 def test_vector_edge_cases_read_the_same(text):
     assert_readers_agree("vectors", text)

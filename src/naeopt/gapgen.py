@@ -211,8 +211,9 @@ def load_gap(instance_text: str, vector_text: str) -> GapInstance:
     if np.any((signs > 0).sum(axis=1) < 2):
         raise StructuralError("gap vector rows must be canonical: at least 2 positive signs")
     sizes = {lits.shape[1]: len(lits) for lits, _ in inst.clause_groups}
-    if not sizes.keys() <= {3, 5}:
-        raise StructuralError(f"gap instance clauses have 3 or 5 literals, not {sorted(sizes)}")
+    if sizes.keys() - {3, 5}:
+        raise StructuralError("gap instance clauses have 3 or 5 literals, "
+                              f"not {sorted(sizes.keys() - {3, 5})}")
     return GapInstance(n, sizes.get(3, 0), sizes.get(5, 0), indices, signs, inst)
 
 

@@ -281,8 +281,8 @@ def _read_vector_rows_bulk(text: str) -> tuple | None:
         return None
     if sparse:
         return n, dim, (ids, indices, found[1]), {}
-    none = np.empty((0, 3), np.int64)
-    return n, dim, (none[:, 0], none, none), dict(zip(ids.tolist(), found[:, 1:]))
+    no_rows = np.empty((0, 3), np.int64)
+    return n, dim, (no_rows[:, 0], no_rows, no_rows), dict(zip(ids.tolist(), found[:, 1:]))
 
 
 def read_vector_rows(text: str) -> tuple[int, int, tuple, dict]:

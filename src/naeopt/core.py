@@ -297,14 +297,20 @@ class NAEInstance:
 
     def __init__(self, num_vars: int, clauses):
         clauses = tuple(clauses)
-        for c in clauses:
-            if max(map(abs, c.literals)) > num_vars:
-                raise _out_of_range(c.literals, num_vars)
         sizes: dict[int, int] = {}
         group = [sizes.setdefault(len(c.literals), len(sizes)) for c in clauses]
-        groups = [(np.array([c.literals for c in clauses if len(c.literals) == k], np.int64),
-                   np.array([c.weight for c in clauses if len(c.literals) == k])) for k in sizes]
+        try:
+            groups = [(np.array([c.literals for c in clauses if len(c.literals) == k], np.int64),
+                       np.array([c.weight for c in clauses if len(c.literals) == k]))
+                      for k in sizes]
+        except OverflowError as err:
+            bad = next((c.literals for c in clauses if max(map(abs, c.literals)) > num_vars),
+                       None)
+            if bad is not None:
+                raise _out_of_range(bad, num_vars) from err
+            raise StructuralError(f"literals must fit in 64 bits: {err}") from err
         self._store(num_vars, groups, np.array(group, dtype=np.intp))
+        self._check_range()
         self.__dict__["clauses"] = clauses
 
     @classmethod
@@ -322,12 +328,15 @@ class NAEInstance:
         bad = inst._first_clause([~((w > 0.0) & (w < math.inf)) | _malformed_rows(lits)
                                   for lits, w in inst.clause_groups])
         if bad is not None:  # Clause raises the message
-            Clause(float(inst.clause_weights[bad]), inst._literal_rows()[bad])
-        bad = inst._first_clause([(np.abs(lits) > num_vars).any(axis=1)
-                                  for lits, _ in inst.clause_groups])
-        if bad is not None:
-            raise _out_of_range(inst._literal_rows()[bad], num_vars)
+            Clause(*inst._clause_at(bad))
+        inst._check_range()
         return inst
+
+    def _check_range(self) -> None:
+        bad = self._first_clause([(np.abs(lits) > self.num_vars).any(axis=1)
+                                  for lits, _ in self.clause_groups])
+        if bad is not None:
+            raise _out_of_range(self._clause_at(bad)[1], self.num_vars)
 
     def _store(self, num_vars, groups, clause_group) -> None:
         row = np.empty_like(clause_group)
@@ -357,18 +366,17 @@ class NAEInstance:
         flags = self.in_clause_order(flags_per_group)
         return int(np.argmax(flags)) if flags.any() else None
 
-    def rows_in_clause_order(self, per_group: list[list]) -> list:
-        """Merge one list per group (rows in group order) into clause order."""
-        return [per_group[g][r]
-                for g, r in zip(self.clause_group.tolist(), self.clause_row.tolist())]
-
-    def _literal_rows(self) -> list[list[int]]:
-        return self.rows_in_clause_order([lits.tolist() for lits, _ in self.clause_groups])
+    def _clause_at(self, i: int) -> tuple[float, list[int]]:
+        """(weight, literals) of clause i."""
+        lits, w = self.clause_groups[self.clause_group[i]]
+        return float(w[self.clause_row[i]]), lits[self.clause_row[i]].tolist()
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
         """The clauses as Clause objects, built on first use."""
-        return tuple(map(Clause, self.clause_weights.tolist(), self._literal_rows()))
+        return tuple(self.in_clause_order([np.fromiter(map(Clause, w.tolist(), lits.tolist()),
+                                                       object, len(w))
+                                           for lits, w in self.clause_groups]).tolist())
 
     @cached_property
     def clause_weights(self) -> np.ndarray:

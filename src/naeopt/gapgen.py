@@ -146,10 +146,11 @@ class GapInstance:
     def clause_vectors(self) -> tuple[tuple[SparseVec, ...], ...]:
         """Each clause's vectors; a negative literal is the negated variable."""
         signed = self.variables + tuple(v.negate() for v in self.variables)
-        rows = [[tuple(map(signed.__getitem__, r))
-                 for r in np.where(lits > 0, lits - 1, len(self.variables) - lits - 1).tolist()]
+        rows = [np.fromiter((tuple(map(signed.__getitem__, r)) for r in
+                             np.where(lits > 0, lits - 1, len(self.variables) - lits - 1).tolist()),
+                            object, len(lits))
                 for lits, _ in self.instance.clause_groups]
-        return tuple(self.instance.rows_in_clause_order(rows))
+        return tuple(self.instance.in_clause_order(rows).tolist())
 
     @property
     def positives(self) -> np.ndarray:

@@ -24,11 +24,12 @@ gap-instance format); indices are 1-based in files.  Every id from 1 to
 num_vars has exactly one row.
 
 The readers take a file in one vectorized pass when it has the shape the
-writers give it: ASCII, 'c' comments only before the header, single
-spaces, one clause or row per line, integer fields as plain digits, and
-instance weights and dense coordinates as plain decimals.  Any other file,
-and any file that fails a check, goes to the line-by-line parsers, which
-read it as before and raise every line-numbered StructuralError.
+writers give it: ASCII, 'c' comments only before the header, header
+counts below 2^53, single spaces, one clause or sparse row per line,
+integer fields as plain digits, and instance weights as plain decimals.
+Any other file (dense vector files among them), and any file that fails a
+check, goes to the line-by-line parsers, which read it as before and
+raise every line-numbered StructuralError.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ _THEN = _class_table({_SP: _ANY, _NL: _ANY, _MINUS: [_DOT, _EXP, _SP, _NL],
 def _bulk_split(text: str, head: list[str]) -> tuple[list[int], str] | None:
     """(header counts, body ending in a newline) for the bulk readers, or None:
     the text must be ASCII, with only printable 'c' comment lines before a
-    header of ``head`` and two digit strings, single-space separated."""
+    header of ``head`` and two digit strings, single-space separated.  Counts
+    from 2^53 on return None: tokens up to them would not read exactly as floats."""
     if not text.isascii():
         return None
     start = 0
@@ -97,10 +99,13 @@ def _bulk_split(text: str, head: list[str]) -> tuple[list[int], str] | None:
     fields = text[start:end].split(" ")
     if fields[:-2] != head or not all(f.isdigit() for f in fields[-2:]):
         return None
+    counts = [int(f) for f in fields[-2:]]
+    if max(counts) >= 2**53:
+        return None
     body = text[end + 1:]
     if not body:
         return None
-    return [int(f) for f in fields[-2:]], body if body.endswith("\n") else body + "\n"
+    return counts, body if body.endswith("\n") else body + "\n"
 
 
 def _scan(body: str):
@@ -213,23 +218,23 @@ def format_instance(inst: NAEInstance, comment: str | None = None) -> str:
         fields[::k + 1] = [text[i] for i in which.tolist()]
         for j in range(k):
             fields[j + 1::k + 1] = lits[:, j].tolist()
-        groups.append(((f"%s {k}" + " %d" * k + "\n") * m % tuple(fields)).splitlines())
-    return "\n".join(lines + inst.rows_in_clause_order(groups)) + "\n"
+        groups.append(np.array(((f"%s {k}" + " %d" * k + "\n") * m % tuple(fields)).splitlines(),
+                               object))
+    return "\n".join(lines + inst.in_clause_order(groups).tolist()) + "\n"
 
 
 _SQRT3 = math.sqrt(3.0)
 
 
-# the non-digit bytes of a sparse row "<id> s <i>:<+-1> <j>:<+-1> <k>:<+-1>", with
-# the least and most digits before each (the id, the indices, the sign's 1)
+# the non-digit bytes of a sparse row "<id> s <i>:<+-s> <j>:<+-t> <k>:<+-u>", and
+# which of them follow digits (the id, the indices, the signs' digits)
 _SPARSE_ROW = np.frombuffer(b" s :+ :+ :+\n", np.uint8)
-_SPARSE_DIGITS = (np.array([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1]),
-                  np.array([np.inf, 0, 0, np.inf, 0, 1, np.inf, 0, 1, np.inf, 0, 1]))
+_SPARSE_DIGITS = np.array([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1], bool)
 _SIGNS = [4, 7, 10]
 
 
-def _sparse_rows_bulk(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """((n, 4) ids and 1-based indices as floats, (n, 3) signs) of n sparse rows, or None."""
+def _sparse_rows_bulk(body: str, n: int) -> np.ndarray | None:
+    """(n, 7) int64 rows (id, i, s, j, t, k, u) of a body of n sparse rows, or None."""
     b = np.frombuffer(body.encode(), np.uint8)
     at = np.flatnonzero((b < ord("0")) | (b > ord("9")))
     if at.size != 12 * n:
@@ -237,30 +242,12 @@ def _sparse_rows_bulk(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None
     at = at.reshape(n, 12)
     digits = np.diff(at, axis=1, prepend=np.r_[-1, at[:-1, -1]][:, None]) - 1
     found = b[at]
-    signs = found[:, _SIGNS]
-    found[:, _SIGNS] = np.where(signs == ord("-"), ord("+"), signs)
-    if not (np.all(found == _SPARSE_ROW) and np.all(b[at[:, _SIGNS] + 1] == ord("1"))
-            and np.all(digits >= _SPARSE_DIGITS[0]) and np.all(digits <= _SPARSE_DIGITS[1])):
+    found[:, _SIGNS] = np.where(found[:, _SIGNS] == ord("-"), ord("+"), found[:, _SIGNS])
+    if not (np.all(found == _SPARSE_ROW) and np.all((digits > 0) == _SPARSE_DIGITS)
+            and digits.max() <= 18):  # up to 18 digits read exactly as an int64
         return None
-    ends, width = at[:, [0, 3, 6, 9]], digits[:, [0, 3, 6, 9]]  # the id and the indices
-    if width.max() > 15:  # the float sums below stay exact
-        return None
-    numbers = np.zeros(ends.shape)
-    for place in range(width.max()):
-        digit = b[ends - 1 - place] - float(ord("0"))
-        numbers += np.where(place < width, digit, 0.0) * 10.0 ** place
-    return numbers, np.where(signs == ord("-"), -1, 1)
-
-
-def _dense_rows_bulk(body: str, n: int, dim: int) -> np.ndarray | None:
-    """(n, dim + 1) rows (id, x_1, ..., x_dim), or None."""
-    scan = _scan(body)
-    if scan is None:
-        return None
-    values, first, count, decimal = scan
-    if len(first) != n or np.any(count != dim + 1) or decimal[first].any():
-        return None
-    return values.reshape(n, dim + 1)
+    text = body.replace(" s ", " ").replace(":", " ")
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(n, 7)
 
 
 def _read_vector_rows_bulk(text: str) -> tuple | None:
@@ -268,21 +255,16 @@ def _read_vector_rows_bulk(text: str) -> tuple | None:
     if split is None or min(split[0]) < 1:
         return None
     (n, dim), body = split
-    sparse = " s " in body
-    found = _sparse_rows_bulk(body, n) if sparse else _dense_rows_bulk(body, n, dim)
-    if found is None:
+    rows = _sparse_rows_bulk(body, n)
+    if rows is None:
         return None
-    numbers = found[0] if sparse else found[:, :1]
-    ids, indices = numbers[:, 0], numbers[:, 1:]
-    if not (np.all((ids >= 1) & (ids <= n)) and np.all((indices >= 1) & (indices <= dim))):
-        return None  # checked before the casts: huge tokens read as inf
-    ids, indices = ids.astype(np.int64), indices.astype(np.int64) - 1
+    ids, indices, signs = rows[:, 0], rows[:, 1::2], rows[:, 2::2]
+    if not (np.all((ids >= 1) & (ids <= n)) and np.all((indices >= 1) & (indices <= dim))
+            and np.all(np.abs(signs) == 1)):
+        return None
     if np.bincount(ids).max() > 1 or np.any(indices == np.roll(indices, 1, axis=1)):
         return None
-    if sparse:
-        return n, dim, (ids, indices, found[1]), {}
-    no_rows = np.empty((0, 3), np.int64)
-    return n, dim, (no_rows[:, 0], no_rows, no_rows), dict(zip(ids.tolist(), found[:, 1:]))
+    return n, dim, (ids, indices - 1, signs), {}
 
 
 def read_vector_rows(text: str) -> tuple[int, int, tuple, dict]:
@@ -364,10 +346,11 @@ def parse_vectors(text: str) -> VectorAssignment:
 def format_vectors(va: VectorAssignment, sparse_signs: tuple | None = None) -> str:
     """Dense rows by default; ``sparse_signs = (indices, signs)``, (num_vars, 3)
     int arrays with 0-based indices, writes every row in the exact sparse form."""
-    header = f"v {va.num_vars} {va.dim}\n"
     if sparse_signs is None:
-        return header + "".join(f"{vid} " + " ".join(map(repr, row)) + "\n"
-                                for vid, row in enumerate(va.vectors.tolist(), start=1))
+        lines = [f"v {va.num_vars} {va.dim}"]
+        for vid in range(1, va.num_vars + 1):
+            lines.append(f"{vid} " + " ".join(repr(float(x)) for x in va.vectors[vid - 1]))
+        return "\n".join(lines) + "\n"
     indices, signs = sparse_signs
     if indices.shape != (va.num_vars, 3) or signs.shape != indices.shape:
         raise StructuralError("sparse rows need 3 indices and 3 signs per vector")
@@ -375,6 +358,7 @@ def format_vectors(va: VectorAssignment, sparse_signs: tuple | None = None) -> s
     rows[:, 0] = np.arange(1, va.num_vars + 1)
     rows[:, 1::2] = indices + 1
     rows[:, 2::2] = signs
+    header = f"v {va.num_vars} {va.dim}\n"
     return header + "%d s %d:%+d %d:%+d %d:%+d\n" * va.num_vars % tuple(rows.ravel().tolist())
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from naeopt import cli
 from naeopt import gapgen as G
 from naeopt import pipeline as P
-from naeopt.core import Clause, NAEInstance, VectorAssignment
+from naeopt.core import Clause, NAEInstance
 from naeopt.errors import StructuralError
 
 _GAP = G.gen_gap_instance(12, 4, 3, seed=5)
@@ -151,6 +151,9 @@ def test_unmutated_files_read_the_same(base):
     "p nae 3 2\n1.0 2 1 2\n",
     "1.0 2 1 2\np nae 3 1\n",
     "p nae 99999999999999999999 1\n1.0 2 1 2\n",
+    "p nae 99999999999999999999 1\n1.0 2 1 9007199254740993\n",  # above 2^53: inexact as a float
+    "p nae 99999999999999999999 1\n1.0 2 1 10000000000000000000\n",  # beyond int64
+    "p nae 9007199254740992 1\n1.0 2 1 9007199254740993\n",
     "p nae 3 99999999999999999999\n1.0 2 1 2\n",
 ])
 def test_instance_edge_cases_read_the_same(text):
@@ -193,6 +196,9 @@ def test_instance_edge_cases_read_the_same(text):
     "c x\nv 1 3\n1 s 1:-1 2:+1 3:+1\n",
     "v 99999999999999999999 3\n1 s 1:+1 2:+1 3:+1\n",
     "v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n",
+    "v 1 99999999999999999999\n1 s 1:+1 2:+1 9007199254740993:+1\n",
+    "v 1 3\n1 s 1:+1 2:+1 0000000000000000000003:-0000000000000000000001\n",
+    "v 1 3\n1 s 1:+1 2:+1 18446744073709551619:+1\n",
     "v 1 99999999999999999999\n1 0.5 0.5\n",
 ])
 def test_vector_edge_cases_read_the_same(text):
@@ -229,10 +235,7 @@ class TestBulkPathCoverage:
         inst = NAEInstance(29, clauses)
         assert P.parse_instance(P.format_instance(inst, comment="two\nlines")) == inst
 
-    def test_written_vectors(self, rng):
-        v = rng.normal(size=(40, 5)) * np.logspace(-30, 30, 5)
-        va = VectorAssignment(v / np.linalg.norm(v, axis=1, keepdims=True))
-        assert np.array_equal(P.parse_vectors(P.format_vectors(va)).vectors, va.vectors)
+    def test_written_vectors(self):
         gap = G.gen_gap_instance(12, 5, 5, seed=1)
         text = P.format_vectors(gap.vector_assignment(), gap.sparse_rows())
         assert np.array_equal(P.parse_vectors(text).vectors, gap.vector_assignment().vectors)

@@ -333,7 +333,8 @@ class NAEInstance:
         return inst
 
     def _check_range(self) -> None:
-        bad = self._first_clause([(np.abs(lits) > self.num_vars).any(axis=1)
+        n = self.num_vars  # not np.abs: it keeps the int64 minimum negative
+        bad = self._first_clause([((lits > n) | (lits < -n)).any(axis=1)
                                   for lits, _ in self.clause_groups])
         if bad is not None:
             raise _out_of_range(self._clause_at(bad)[1], self.num_vars)

@@ -134,6 +134,12 @@ class TestNAEInstance:
         with pytest.raises(StructuralError, match="literal -7 out of range for 4 variables"):
             NAEInstance(4, clauses)
 
+    def test_int64_minimum_is_out_of_range(self):
+        with pytest.raises(StructuralError, match=f"literal {-2**63} out of range for 3 variables"):
+            NAEInstance(3, (Clause(1.0, (1, 2)), Clause(1.0, (1, -2**63))))
+        with pytest.raises(StructuralError, match=f"literal {-2**63} out of range for 3 variables"):
+            NAEInstance.from_groups(3, [(np.array([[1, 2], [1, -2**63]]), np.ones(2))], [0, 0])
+
     def test_total_weight_is_cached(self):
         inst = NAEInstance(3, (Clause(0.1, (1, 2)), Clause(0.2, (2, 3)), Clause(0.7, (1, 3))))
         first = inst.total_weight

@@ -277,14 +277,44 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
     for k in (2, 4):
         if 2 * k + 1 > n:
             raise DomainError(f"D_{k} needs n >= {2 * k + 1}")
-        # petal indices never collide inside one tuple, so only the sign
-        # pattern matters for the rounding outcome; index sampling is
-        # unnecessary for the moment statistics
-        positive = rng.integers(0, 2, size=(samples, 2 * k + 1)) > 0
-        pos = positive[:, _petal_cols(k)].sum(axis=2, dtype=np.int8)
-        x = _orientation(pos) * _rule_coins(np.maximum(pos, 3 - pos), p1, p2, rng)
-        out.append(_estimate(np.prod(x, axis=1).astype(float)))
+        out.append(_estimate(_sunflower_products(p1, p2, k, samples, rng)))
     return out[0], out[1]
+
+
+# sunflower draws handled at once, bounding the memory of assignment_moments
+_MOMENT_CHUNK = 1 << 16
+
+
+def _sunflower_products(p1: float, p2: float, k: int, samples: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The +-1.0 product of the k petal values of each of ``samples`` draws.
+
+    Petal indices never collide inside one tuple, so only the sign
+    pattern matters for the rounding outcome: no index is sampled.  Each
+    draw takes 2k+1 sign coins, then (after every draw's coins) k rule
+    uniforms.  A uint32 coin is one next_uint32 of the bit generator, as
+    an int64 one is, so the chunks give the stream of one whole-run draw.
+    """
+    pos = np.empty((samples, k), np.uint8)  # positive signs per petal
+    for lo in range(0, samples, _MOMENT_CHUNK):
+        c = rng.integers(0, 2, size=(min(_MOMENT_CHUNK, samples - lo), 2 * k + 1),
+                         dtype=np.uint32).astype(np.uint8)
+        chunk = pos[lo:lo + len(c)]
+        np.add(c[:, 1::2], c[:, 2::2], out=chunk)
+        chunk += c[:, :1]
+    # a petal is -1 when its representative is the negation (< 2 positive
+    # signs) or its coin is -1 (u >= p), not both; p is p1 on the sign
+    # patterns with 0 or 3 positive signs, else p2
+    p = np.where([True, False, False, True], p1, p2)
+    prods = np.empty(samples)
+    for lo in range(0, samples, _MOMENT_CHUNK):
+        chunk = pos[lo:lo + _MOMENT_CHUNK]
+        neg = (chunk < 2) == (rng.random(chunk.shape) < p.take(chunk))
+        bits = neg.view(f"u{k}")[:, 0]  # a draw's k bools as one integer, k = 2 or 4
+        for shift in (16, 8) if k == 4 else (8,):
+            bits ^= bits >> shift  # fold: the low bit becomes the parity of the k bools
+        prods[lo:lo + len(chunk)] = 1.0 - 2.0 * (bits & 1)
+    return prods
 
 
 def _estimate(prods: np.ndarray) -> MomentEstimate:

@@ -34,9 +34,11 @@ _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every toleranc
 # + 1e-12, 0.02) ends at 1 + 1.8e-15; such a rho is taken as +-1
 _RHO_BOUND = 1.0 + 1e-12
 
-# Monte Carlo samples drawn per batch, bounding the memory of one call
+# Monte Carlo samples drawn per batch, bounding the memory of one call.  The
+# witness sums +-1 values, exactly, from sequentially filled normals, so its
+# result does not depend on the batch; moment_mc's float sums do
 _MOMENT_MC_BATCH = 10**6
-_WITNESS_BATCH = 5 * 10**6
+_WITNESS_BATCH = 1 << 18
 
 
 @dataclass(frozen=True)

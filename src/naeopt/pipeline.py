@@ -294,6 +294,7 @@ def _read_vector_rows_lines(text: str) -> tuple[int, int, tuple, dict]:
             header = _convert(int, parts[1:], lineno, "header")
             if min(header) < 1:
                 raise StructuralError(f"line {lineno}: header counts must be positive")
+            index_end = min(header[1], 2**63)  # 0-based indices are kept as int64
             continue
         if header is None:
             raise StructuralError(f"line {lineno}: vector row before header")
@@ -315,10 +316,10 @@ def _read_vector_rows_lines(text: str) -> tuple[int, int, tuple, dict]:
             raise StructuralError(f"line {lineno}: duplicate variable id {vid}")
         seen.add(vid)
         if sparse:
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim and i != j != k != i
-                    and s in (-1, 1) and t in (-1, 1) and u in (-1, 1)):
+            if not (0 <= i < index_end and 0 <= j < index_end and 0 <= k < index_end
+                    and i != j != k != i and s in (-1, 1) and t in (-1, 1) and u in (-1, 1)):
                 raise StructuralError(f"line {lineno}: a sparse row needs 3 distinct "
-                                      f"coordinates <i>:<+-1> with i in 1..{dim}")
+                                      f"coordinates <i>:<+-1> with i in 1..{index_end}")
             ids.append(vid)
             flat += (i, j, k, s, t, u)
         elif row.size != dim:

@@ -207,6 +207,20 @@ class TestExitCodes:
         assert run(tmp_path, "round", "--instance", "nope.nae", "--vectors",
                    "nope.txt", "--f", "sign") == 2
 
+    @pytest.mark.parametrize("command", ["round", "gap eval"])
+    def test_sparse_index_beyond_int64_exits_2(self, tmp_path, capsys, command):
+        pre = str(tmp_path / "g")
+        assert run(tmp_path, "gap", "gen", "--n", "12", "--m3", "5", "--m5", "5",
+                   "--out", pre) == 0
+        num_vars = Path(pre + "_vectors.txt").read_text().split()[1]
+        (tmp_path / "big.txt").write_text(f"v {num_vars} 99999999999999999999\n"
+                                          "1 s 1:+1 2:+1 10000000000000000000:+1\n")
+        extra = ("--f", "sign") if command == "round" else ("--trials", "2")
+        assert run(tmp_path, *command.split(), "--instance", pre + "_instance.nae",
+                   "--vectors", "big.txt", *extra, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
     def test_ratio_grid_too_small(self, tmp_path, capsys):
         assert run(tmp_path, "ratio", "--problem", "maxcut", "--grid", "1",
                    "--out", str(tmp_path / "q")) == 2

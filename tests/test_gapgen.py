@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ class TestGeneration:
         vectors = _files(small_gap)[1]
         with pytest.raises(StructuralError, match="3 or 5 literals"):
             G.load_gap(f"p nae {small_gap.instance.num_vars} 2\n{clauses}", vectors)
+
+    def test_load_rejects_a_sparse_index_beyond_int64(self, small_gap):
+        inst_text = _files(small_gap)[0]
+        vectors = (f"v {small_gap.instance.num_vars} 99999999999999999999\n"
+                   "1 s 1:+1 2:+1 10000000000000000000:+1\n")
+        with pytest.raises(StructuralError, match="line 2"):
+            G.load_gap(inst_text, vectors)
 
     def test_arrays_match_the_objects(self, gap):
         variables = gap.variables
@@ -300,6 +308,53 @@ class TestAssignmentMoments:
             G.assignment_moments((0.3, 0.1), 48, samples=samples)
         with pytest.raises(DomainError):
             G.assignment_moments(lambda rep: 1, 48, samples=samples)
+
+
+def _int64_assignment_moments(rule, n, samples, seed):
+    """The pair-rule path of ``assignment_moments`` before it was chunked:
+    every coin an int64 of one whole-run draw, then every uniform."""
+    p1, p2 = rule
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (2, 4):
+        positive = rng.integers(0, 2, size=(samples, 2 * k + 1)) > 0
+        pos = positive[:, G._petal_cols(k)].sum(axis=2, dtype=np.int8)
+        x = G._orientation(pos) * G._rule_coins(np.maximum(pos, 3 - pos), p1, p2, rng)
+        out.append(G._estimate(np.prod(x, axis=1).astype(float)))
+    return out[0], out[1]
+
+
+class TestChunkedMoments:
+    """The chunked pair-rule path against the whole-run int64 draw it replaced."""
+
+    @pytest.mark.parametrize("chunk", [G._MOMENT_CHUNK, 1, 7, 999])
+    @pytest.mark.parametrize("rule", [(0, 0), (1, 1), (0, 1), (G.P1_STAR, 0), (0.3, 0.1)])
+    def test_bits_match_the_whole_run_draw(self, monkeypatch, rule, chunk):
+        # an odd chunk of an odd row width ends on half of a buffered uint32
+        monkeypatch.setattr(G, "_MOMENT_CHUNK", chunk)
+        for samples in sorted({2, 3, 101, chunk + 1, 3 * chunk + 1} | {chunk - 1} - {0, 1}):
+            want = _int64_assignment_moments(rule, 48, samples, seed=samples)
+            assert repr(G.assignment_moments(rule, 48, samples, seed=samples)) == repr(want)
+
+    @pytest.mark.parametrize("size", [1, 5, 9, 2 * 5 + 1, 65536 * 9 + 3])
+    def test_uint32_coins_are_the_int64_stream(self, size):
+        # the chunked path rests on this: a numpy release that draws uint32
+        # and int64 coins differently fails here by name
+        a, b = np.random.default_rng(size), np.random.default_rng(size)
+        for _ in range(3):
+            assert np.array_equal(a.integers(0, 2, size=size),
+                                  b.integers(0, 2, size=size, dtype=np.uint32))
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.random(3), b.random(3))
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            G.assignment_moments((G.P1_STAR, 0), 48, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6  # the whole-run draw peaked at 127 MB
 
 
 class TestEvaluateGap:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,25 @@ class TestF4NegativeWitness:
         keep = (first >= eps) & (first < 1.5 * eps)
         assert keep.sum() > 10**4
         assert np.array_equal(z[keep] @ v.T, (z @ v.T)[keep])
+
+
+    def test_batch_size_changes_no_bit(self, monkeypatch):
+        # +-1 sums are exact and the normals fill in order, so batches of one
+        # whole run, of the default and of an odd size give one result
+        got = set()
+        for batch in (5 * 10**6, 1 << 18, 12_345):
+            monkeypatch.setattr(M, "_WITNESS_BATCH", batch)
+            got.add(repr(M.f4_negative_witness(0.1, 0.5, samples=5 * 10**6, seed=4)))
+        assert len(got) == 1
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            M.f4_negative_witness(0.1, 0.5, samples=5 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6  # one 5e6-row batch's normals alone are 120 MB
 
 
 class TestMomentEstimate:

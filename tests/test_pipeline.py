@@ -118,6 +118,17 @@ class TestVectorFiles:
         with pytest.raises(StructuralError, match=f"line {line}"):
             P.parse_vectors(text)
 
+    @pytest.mark.parametrize("index", ["10000000000000000000", "9223372036854775809"])
+    def test_sparse_index_beyond_int64_is_structural(self, index):
+        text = f"v 1 99999999999999999999\n1 s 1:+1 2:+1 {index}:+1\n"
+        with pytest.raises(StructuralError, match="line 2: .* i in 1..9223372036854775808"):
+            P.read_vector_rows(text)
+
+    def test_largest_int64_sparse_index_is_read(self):
+        text = "v 1 99999999999999999999\n1 s 1:+1 2:+1 9223372036854775808:+1\n"
+        _, _, (_, indices, _), _ = P.read_vector_rows(text)
+        assert indices.tolist() == [[0, 1, 2**63 - 1]]
+
     @pytest.mark.parametrize("text", ["v 0 2\n", "v 1 2\n1 nan 0.0\n"])
     def test_degenerate_files_are_structural(self, text):
         with pytest.raises(StructuralError):

@@ -197,6 +197,7 @@ def test_instance_edge_cases_read_the_same(text):
     "v 99999999999999999999 3\n1 s 1:+1 2:+1 3:+1\n",
     "v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n",
     "v 1 99999999999999999999\n1 s 1:+1 2:+1 9007199254740993:+1\n",
+    "v 1 99999999999999999999\n1 s 1:+1 2:+1 10000000000000000000:+1\n",  # beyond int64
     "v 1 3\n1 s 1:+1 2:+1 0000000000000000000003:-0000000000000000000001\n",
     "v 1 3\n1 s 1:+1 2:+1 18446744073709551619:+1\n",
     "v 1 99999999999999999999\n1 0.5 0.5\n",

@@ -212,9 +212,10 @@ class TestExitCodes:
         pre = str(tmp_path / "g")
         assert run(tmp_path, "gap", "gen", "--n", "12", "--m3", "5", "--m5", "5",
                    "--out", pre) == 0
-        num_vars = Path(pre + "_vectors.txt").read_text().split()[1]
-        (tmp_path / "big.txt").write_text(f"v {num_vars} 99999999999999999999\n"
-                                          "1 s 1:+1 2:+1 10000000000000000000:+1\n")
+        num_vars = int(Path(pre + "_vectors.txt").read_text().split()[1])
+        (tmp_path / "big.txt").write_text(
+            f"v {num_vars} 99999999999999999999\n1 s 1:+1 2:+1 10000000000000000000:+1\n"
+            + "".join(f"{v} s 1:+1 2:+1 3:+1\n" for v in range(2, num_vars + 1)))
         extra = ("--f", "sign") if command == "round" else ("--trials", "2")
         assert run(tmp_path, *command.split(), "--instance", pre + "_instance.nae",
                    "--vectors", "big.txt", *extra, "--out", str(tmp_path / "x")) == 2

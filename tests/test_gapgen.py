@@ -125,8 +125,10 @@ class TestGeneration:
 
     def test_load_rejects_a_sparse_index_beyond_int64(self, small_gap):
         inst_text = _files(small_gap)[0]
-        vectors = (f"v {small_gap.instance.num_vars} 99999999999999999999\n"
-                   "1 s 1:+1 2:+1 10000000000000000000:+1\n")
+        # every variable has a row, so only the index can be at fault
+        num_vars = small_gap.instance.num_vars
+        vectors = (f"v {num_vars} 99999999999999999999\n1 s 1:+1 2:+1 10000000000000000000:+1\n"
+                   + "".join(f"{v} s 1:+1 2:+1 3:+1\n" for v in range(2, num_vars + 1)))
         with pytest.raises(StructuralError, match="line 2"):
             G.load_gap(inst_text, vectors)
 
@@ -336,7 +338,7 @@ class TestChunkedMoments:
             want = _int64_assignment_moments(rule, 48, samples, seed=samples)
             assert repr(G.assignment_moments(rule, 48, samples, seed=samples)) == repr(want)
 
-    @pytest.mark.parametrize("size", [1, 5, 9, 2 * 5 + 1, 65536 * 9 + 3])
+    @pytest.mark.parametrize("size", [1, 5, 9, 11, 65536 * 9 + 3])
     def test_uint32_coins_are_the_int64_stream(self, size):
         # the chunked path rests on this: a numpy release that draws uint32
         # and int64 coins differently fails here by name
@@ -345,7 +347,6 @@ class TestChunkedMoments:
             assert np.array_equal(a.integers(0, 2, size=size),
                                   b.integers(0, 2, size=size, dtype=np.uint32))
             assert a.bit_generator.state == b.bit_generator.state
-            assert np.array_equal(a.random(3), b.random(3))
 
     def test_peak_memory(self):
         tracemalloc.start()
@@ -354,7 +355,7 @@ class TestChunkedMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6  # the whole-run draw peaked at 127 MB
+        assert peak < 40e6  # the whole-run int64 draw peaked above 120 MB
 
 
 class TestEvaluateGap:

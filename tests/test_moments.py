@@ -418,7 +418,6 @@ class TestF4NegativeWitness:
         assert keep.sum() > 10**4
         assert np.array_equal(z[keep] @ v.T, (z @ v.T)[keep])
 
-
     def test_batch_size_changes_no_bit(self, monkeypatch):
         # +-1 sums are exact and the normals fill in order, so batches of one
         # whole run, of the default and of an odd size give one result

@@ -326,6 +326,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    def seed(text: str) -> int:  # [0, 2**64) is what every generator here takes
+        if not 0 <= (value := int(text)) < 2**64:
+            raise ValueError(text)
+        return value
+
     p = _Parser(prog="naeopt", description=__doc__)
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("NAEOPT_THREADS", "1")),
@@ -359,7 +364,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int, default=48)
     g.add_argument("--m3", type=int, default=10**5)
     g.add_argument("--m5", type=int, default=10**5)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gap_gen)
     g = gsub.add_parser("eval")
@@ -369,7 +374,7 @@ def _build_parser() -> _Parser:
                    help="default: the tuned value 1 - 2 sqrt(2 sqrt(21) - 9)")
     g.add_argument("--p2", type=float, default=0.0)
     g.add_argument("--trials", type=int, default=20)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gap_eval)
 
@@ -379,7 +384,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--steps", type=int, default=2)
     sp.add_argument("--pm1", action="store_true")
     sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_stepopt)
 
@@ -403,7 +408,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--vectors", required=True)
     sp.add_argument("--f", required=True, help="rounding-function spec")
     sp.add_argument("--rounds", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_round)
 
@@ -412,7 +417,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--eps", type=float, default=0.05)
     sp.add_argument("--samples", type=int, default=10**8)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_witness)
     return p

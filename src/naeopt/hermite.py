@@ -169,8 +169,8 @@ def boundary_sweep(k: int, angles: int) -> list[tuple[float, np.ndarray]]:
     For k = 2 returns (theta, (c1, c3)) pairs; for larger k the direction
     sweeps the first two coordinates with the rest zero.
     """
-    if k < 2:
-        raise DomainError("the sweep needs k >= 2")
+    if k < 2 or angles < 1:
+        raise DomainError(f"the sweep needs k >= 2 and angles >= 1, got {k} and {angles}")
     out = []
     for theta in np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False):
         d = np.zeros(k)

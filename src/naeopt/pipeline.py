@@ -368,7 +368,8 @@ def format_vectors(va: VectorAssignment, sparse_signs: tuple | None = None) -> s
 
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.Philox(key=(seed, round_index)))
+    # a uint64 key: a tuple key passes through int64 or float64 and loses seeds >= 2**63
+    return np.random.default_rng(np.random.Philox(key=np.array([seed, round_index], np.uint64)))
 
 
 def rpr2_round(vectors: VectorAssignment, f: StepFunction, seed: int,
@@ -434,7 +435,7 @@ def noise_assignment(assignment: np.ndarray, delta: float, seed: int) -> np.ndar
     if not 0.0 <= delta <= 0.5:
         raise DomainError("delta must lie in [0, 1/2]")
     assignment = np.asarray(assignment)
-    rng = np.random.default_rng(np.random.Philox(key=(seed, 0)))
+    rng = _round_rng(seed, 0)
     u = rng.random(assignment.shape)
     forced = np.where(u < delta, 1, -1)
     return np.where(u < 2 * delta, forced, assignment).astype(np.int8)

@@ -15,20 +15,24 @@ parameterization: a_1 = exp(u_1) and gaps a_{i+1} - a_i = exp(u_{i+1})
 keep breakpoints ordered, and free step values are clipped into [-1, 1].
 With the +-1 flag only breakpoints move and values alternate
 (-1)^(i+1), the shape every best known multi-size optimum takes.
+
+The search is scipy 1.17's Nelder-Mead reproduced bit for bit, so that no
+import loads scipy's optimize package: coefficients 1, 2, 0.5, 0.5 (reflection,
+expansion, contraction, shrink), first simplex steps x1.05 or 0.00025.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import SIGN, StepFunction
 from .errors import DomainError, StructuralError
 from .moments import sat_prob_symmetric
 
-# Nelder-Mead tolerances and iteration cap of every start
+# Nelder-Mead tolerances, and the cap on both evaluations and iterations of every start
 _XATOL = 1e-10
 _FATOL = 1e-12
 _MAX_ITER = 2000
@@ -72,10 +76,6 @@ def per_size_probs(f: StepFunction, clause_sizes) -> dict[int, float]:
 # optimization
 
 
-def _alternating(l: int) -> tuple[float, ...]:
-    return tuple(float((-1) ** (i + 1)) for i in range(l + 1))
-
-
 def _decode(params: np.ndarray, cfg: StepSearchConfig) -> StepFunction | None:
     l = cfg.steps - 1
     with np.errstate(over="ignore"):
@@ -86,13 +86,67 @@ def _decode(params: np.ndarray, cfg: StepSearchConfig) -> StepFunction | None:
     if l and (a[-1] > 50.0 or np.any(np.diff(a) <= 0)):
         return None
     if cfg.pm_one:
-        b = _alternating(l)
+        b = tuple(float((-1) ** (i + 1)) for i in range(l + 1))
     else:
         b = tuple(np.clip(params[l:], -1.0, 1.0))
     try:
         return StepFunction(tuple(a), b)
     except StructuralError:
         return None
+
+
+class _Capped(Exception):
+    """The evaluation cap fired; the simplex stays as it stands."""
+
+
+def _nelder_mead(loss, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """(x, loss at x, converged) from ``x0``, each bit as scipy's Nelder-Mead gives with
+    xatol=_XATOL, fatol=_FATOL, maxiter=maxfev=_MAX_ITER; the cap can fire inside a shrink."""
+    n = len(x0)
+    moved = np.where(x0 != 0, 1.05 * x0, 0.00025)  # vertex k + 1 moves coordinate k
+    sim = np.vstack([x0, np.where(np.eye(n, dtype=bool), moved, x0)])
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= _MAX_ITER:
+            raise _Capped
+        calls += 1
+        return loss(x)
+
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while calls < _MAX_ITER and iterations < _MAX_ITER:
+        with suppress(_Capped):
+            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+                return sim[0], np.min(fsim), True
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside if the reflection beat the worst vertex, else inside
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], np.min(fsim), False
 
 
 @dataclass(frozen=True)
@@ -120,17 +174,13 @@ def optimize_step(cfg: StepSearchConfig) -> StepSearchResult:
 
     def loss(params: np.ndarray) -> float:
         f = _decode(params, cfg)
-        if f is None:
-            return 2.0
-        return -objective_alphaK(f, cfg.clause_sizes)
+        return 2.0 if f is None else -objective_alphaK(f, cfg.clause_sizes)
 
     if nparam == 0:  # single +-1 step: f = sign, nothing to optimize
         return StepSearchResult(SIGN, objective_alphaK(SIGN, cfg.clause_sizes),
                                 per_size_probs(SIGN, cfg.clause_sizes), 0, True)
 
-    best_val = np.inf
-    best_params = None
-    any_converged = False
+    best_val, best_params, any_converged = np.inf, None, False
     for _ in range(cfg.restarts):
         start = np.empty(nparam)
         # log-spaced first breakpoint around [0.6, 3.3]; modest gaps after
@@ -140,13 +190,11 @@ def optimize_step(cfg: StepSearchConfig) -> StepSearchResult:
         ])
         if not cfg.pm_one:
             start[l:] = rng.uniform(-1.0, 1.0, size=l + 1)
-        res = minimize(loss, start, method="Nelder-Mead",
-                       options={"xatol": _XATOL, "fatol": _FATOL,
-                                "maxiter": _MAX_ITER, "maxfev": _MAX_ITER})
-        any_converged = any_converged or bool(res.success)
-        if res.fun < best_val:
-            best_val = res.fun
-            best_params = res.x
+        x, fun, converged = _nelder_mead(loss, start)
+        any_converged = any_converged or converged
+        if fun < best_val:
+            best_val = fun
+            best_params = x
     f = _decode(best_params, cfg)
     if f is None:
         raise DomainError("optimizer failed to produce a valid step function")

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +251,55 @@ class TestExitCodes:
     def test_malformed_flags_are_usage_errors(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
+    @pytest.mark.parametrize("command", [
+        ("stepopt", "--K", "3,5"),
+        ("gap", "gen", "--n", "12", "--m3", "5", "--m5", "5"),
+        ("gap", "eval", "--instance", "g_instance.nae", "--vectors", "g_vectors.txt"),
+        ("round", "--instance", "g_instance.nae", "--vectors", "g_vectors.txt", "--f", "sign"),
+        ("witness", "f4neg", "--samples", "10"),
+    ], ids=lambda c: " ".join(c[:2]))
+    def test_seed_outside_uint64_is_a_usage_error(self, tmp_path, capsys, command, seed):
+        assert run(tmp_path, *command, "--seed", seed, "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert f"invalid seed value: '{seed}'" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_runs(self, tmp_path):
+        top = str(2**64 - 1)
+        pre = str(tmp_path / "g")
+        assert run(tmp_path, "gap", "gen", "--n", "12", "--m3", "5", "--m5", "5",
+                   "--seed", top, "--out", pre) == 0
+        files = ("--instance", pre + "_instance.nae", "--vectors", pre + "_vectors.txt")
+        assert run(tmp_path, "gap", "eval", *files, "--trials", "2", "--seed", top,
+                   "--out", str(tmp_path / "e")) == 0
+        assert run(tmp_path, "round", *files, "--f", "sign", "--rounds", "2", "--seed", top,
+                   "--out", str(tmp_path / "r")) == 0
+        assert run(tmp_path, "stepopt", "--K", "3,5", "--restarts", "1", "--seed", top,
+                   "--out", str(tmp_path / "s")) == 0
+        assert run(tmp_path, "witness", "f4neg", "--samples", "10", "--seed", top,
+                   "--out", str(tmp_path / "w")) == 0
+        assert read_json(pre + ".manifest.json")["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("angles", ["0", "-5"])
+    def test_hermite_boundary_needs_an_angle(self, tmp_path, capsys, angles):
+        assert run(tmp_path, "hermite", "boundary", "--angles", angles,
+                   "--out", str(tmp_path / "h")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "h_boundary.csv").exists()
+
+
+def test_import_loads_no_scipy_optimize():
+    """The CLI's cold start must not pay for scipy's optimize package
+    (about 22 MB and 0.15 s); a later import of it anywhere under src fails here."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, naeopt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def _readme_commands():

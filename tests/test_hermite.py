@@ -217,3 +217,8 @@ class TestBoundarySweep:
     def test_needs_k_at_least_two(self):
         with pytest.raises(DomainError):
             H.boundary_sweep(1, 8)
+
+    @pytest.mark.parametrize("angles", [0, -5])
+    def test_needs_an_angle(self, angles):
+        with pytest.raises(DomainError):
+            H.boundary_sweep(2, angles)

@@ -180,6 +180,14 @@ class TestRounding:
         a2 = P.rpr2_round(va, StepFunction((1.0,), (-0.5, 1.0)), seed=7, round_index=3)
         assert np.array_equal(a1, a2)
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1])
+    def test_round_key_is_seed_and_round(self, seed):
+        key = P._round_rng(seed, 3).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, 3]
+        if seed < 2**63:  # the key a (seed, round) tuple gives, so no earlier stream moves
+            old = np.random.Philox(key=(seed, 3)).state["state"]["key"]
+            assert np.array_equal(key, old)
+
     def test_zero_function_uniform(self):
         va = _symmetric_vectors(4, 0.5)
         zero = StepFunction((), (0.0,))

@@ -4,7 +4,7 @@ import pytest
 from naeopt.core import SIGN, StepFunction
 from naeopt.errors import DomainError
 from naeopt import stepopt as S
-from naeopt.moments import sat_prob_symmetric
+from naeopt.moments import f2, sat_prob_symmetric
 
 TABLE_35 = StepFunction((2.275193649,), (-1.0, 1.0))
 
@@ -117,3 +117,123 @@ class TestBreakpointSweep:
         for r in rows:
             delta = min(r[k] for k in (3, 7, 8)) - base_obj
             assert abs(delta) < 1e-6
+
+
+def _scipy_nelder_mead(loss, x0):
+    from scipy.optimize import minimize
+    return minimize(loss, x0, method="Nelder-Mead",
+                    options={"xatol": S._XATOL, "fatol": S._FATOL,
+                             "maxiter": S._MAX_ITER, "maxfev": S._MAX_ITER})
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestNelderMead:
+    """``_nelder_mead`` against scipy's Nelder-Mead with the same options:
+    the same bits of x and of the loss, and the same converged flag."""
+
+    @pytest.mark.parametrize("clause_sizes,steps,pm_one,seed", [
+        ((3, 5), 2, True, 0),    # criterion 5's search: one breakpoint
+        ((3, 6), 1, False, 0),   # one free value
+        ((3, 7), 2, False, 2),   # three parameters; its third start hits the cap
+    ])
+    def test_matches_scipy_on_optimize_step_starts(self, monkeypatch, clause_sizes, steps,
+                                                   pm_one, seed):
+        runs = []
+        real = S._nelder_mead
+
+        def spy(loss, x0):
+            runs.append((loss, x0.copy(), real(loss, x0)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(S, "_nelder_mead", spy)
+        S.optimize_step(S.StepSearchConfig(clause_sizes, steps=steps, pm_one=pm_one,
+                                           restarts=4, seed=seed))
+        assert len(runs) == 4
+        for loss, x0, (x, fun, converged) in runs:
+            ref = _scipy_nelder_mead(loss, x0)
+            assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+            assert converged == ref.success
+        if clause_sizes == (3, 7):
+            assert [r[2][2] for r in runs] == [True, True, False, True]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_scipy_through_shrinks_to_the_cap(self, n):
+        # Each call returns more than every earlier one, so every step is a
+        # reflection, a failed inside contraction and a shrink, and the
+        # search never converges.  For n = 4 and 5 the cap fires inside a
+        # shrink: 5 + 6 * 332 = 1997 and 6 + 7 * 284 = 1994 evaluations
+        # come before the last step.
+        def rising():
+            count = iter(range(10**6))
+            calls = []
+            return (lambda x: calls.append(1) or float(next(count))), calls
+
+        loss, calls = rising()
+        x0 = np.linspace(-1.0, 1.5, n)
+        x, fun, converged = S._nelder_mead(loss, x0)
+        ref_loss, ref_calls = rising()
+        ref = _scipy_nelder_mead(ref_loss, x0)
+        assert len(calls) == len(ref_calls) == ref.nfev == S._MAX_ITER
+        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+        assert not converged and not ref.success
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.5], [1.0, -2.0, 0.0]])
+    def test_matches_scipy_with_a_zero_start_coordinate(self, x0):
+        def loss(x):
+            return float(np.sum((x - 0.3) ** 2) + np.abs(x[0]))
+
+        x, fun, converged = S._nelder_mead(loss, np.array(x0))
+        ref = _scipy_nelder_mead(loss, np.array(x0))
+        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+        assert converged and ref.success
+
+
+def _nae3_prob(f, r12, r13, r23):
+    """P(NAE_3) = (3 - F2(r12) - F2(r13) - F2(r23)) / 4 for odd f."""
+    return (3.0 - f2(f, r12) - f2(f, r13) - f2(f, r23)) / 4.0
+
+
+def _feasible(a, b):
+    """(a, b, -1 - a - b) are the pairwise biases of three unit vectors
+    with |v1 + v2 + v3| = 1: all in [-1, 1] and a PSD Gram matrix."""
+    c = -1.0 - a - b
+    det = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
+    return (np.abs(a) <= 1) & (np.abs(b) <= 1) & (np.abs(c) <= 1) & (det >= 0)
+
+
+class TestSymmetricConfigurationIsHardest:
+    """The k = 3 half of "the hardest stepopt configuration is symmetric".
+
+    The satisfiable 3-clause's vectors have |v1 + v2 + v3|^2 = (k - 2)^2 = 1,
+    so the biases sum to -1.  For odd f, F2 is nondecreasing in rho (only
+    odd Hermite degrees, sum c_j^2 rho^j), so the ball |sum v|^2 <= 1 has
+    its minimum on this sphere and needs no separate search.
+    """
+
+    @pytest.mark.parametrize("f", [TABLE_35, SIGN], ids=["double-step", "sign"])
+    def test_no_feasible_configuration_beats_the_symmetric_one(self, f):
+        from scipy.optimize import minimize
+        sym = _nae3_prob(f, -1 / 3, -1 / 3, -1 / 3)
+        assert abs(sym - sat_prob_symmetric(f, 3, -1 / 3)) < 1e-12
+
+        def loss(p):
+            a, b = p
+            if not _feasible(a, b):
+                return sym + 1.0
+            return _nae3_prob(f, a, b, -1.0 - a - b)
+
+        grid = np.linspace(-1.0, 1.0, 41)
+        a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+        keep = _feasible(a, b)
+        assert keep.sum() > 100
+        worst = min(loss(p) for p in zip(a[keep], b[keep]))
+        starts = [(-0.9, 0.2), (0.0, -0.5), (-0.6, -0.1), (0.3, -0.7), (-1 / 3, -1 / 3)]
+        for x0 in starts:
+            res = minimize(loss, x0, method="Nelder-Mead",
+                           options={"xatol": 1e-9, "fatol": 1e-13})
+            worst = min(worst, res.fun)
+            assert np.allclose(res.x, -1 / 3, atol=1e-4)  # every start finds the symmetric point
+        assert worst >= sym - 1e-9

@@ -291,8 +291,8 @@ class TestExitCodes:
 
 
 def test_import_loads_no_scipy_optimize():
-    """The CLI's cold start must not pay for scipy's optimize package
-    (about 22 MB and 0.15 s); a later import of it anywhere under src fails here."""
+    """The CLI's cold start must not pay for scipy's optimize package (about
+    23 MB and 0.25 s of every run's set-up); a later import of it under src fails here."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys, naeopt.cli; "

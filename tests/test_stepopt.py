@@ -161,15 +161,19 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_scipy_through_shrinks_to_the_cap(self, n):
-        # Each call returns more than every earlier one, so every step is a
-        # reflection, a failed inside contraction and a shrink, and the
-        # search never converges.  For n = 4 and 5 the cap fires inside a
-        # shrink: 5 + 6 * 332 = 1997 and 6 + 7 * 284 = 1994 evaluations
-        # come before the last step.
+        # Each call returns its own number, more than every earlier one, so
+        # every step is a reflection, a failed inside contraction and a
+        # shrink, and the search never converges.  For n = 4 and 5 the cap
+        # fires inside a shrink: 5 + 6 * 332 = 1997 and 6 + 7 * 284 = 1994
+        # evaluations come before the last step.
         def rising():
-            count = iter(range(10**6))
             calls = []
-            return (lambda x: calls.append(1) or float(next(count))), calls
+
+            def loss(x):
+                calls.append(x.copy())
+                return float(len(calls))
+
+            return loss, calls
 
         loss, calls = rising()
         x0 = np.linspace(-1.0, 1.5, n)
@@ -177,11 +181,26 @@ class TestNelderMead:
         ref_loss, ref_calls = rising()
         ref = _scipy_nelder_mead(ref_loss, x0)
         assert len(calls) == len(ref_calls) == ref.nfev == S._MAX_ITER
+        assert _same_bits(calls, ref_calls)  # the same points, in the same order
         assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
         assert not converged and not ref.success
 
+    @pytest.mark.parametrize("q,x0", [(4.0, [-2.9, 0.0]), (10.0, [2.7, 1.8, 1.0]),
+                                      (4.0, [1.5, -1.0, 2.5]), (4.0, [3.0, 0.0, -1.0, 2.0])])
+    def test_matches_scipy_on_a_staircase(self, q, x0):
+        # a piecewise-constant loss ties vertices with trial points, which
+        # pins every strict and non-strict comparison of the search
+        def loss(x):
+            return float(np.floor(q * np.sum(np.abs(x - 0.3))))
+
+        x, fun, converged = S._nelder_mead(loss, np.array(x0))
+        ref = _scipy_nelder_mead(loss, np.array(x0))
+        assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+        assert converged == ref.success
+
     @pytest.mark.parametrize("x0", [[0.0, 0.5], [1.0, -2.0, 0.0]])
     def test_matches_scipy_with_a_zero_start_coordinate(self, x0):
+        # a zero coordinate takes the 0.00025 step of the first simplex
         def loss(x):
             return float(np.sum((x - 0.3) ** 2) + np.abs(x[0]))
 

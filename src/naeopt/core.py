@@ -19,6 +19,7 @@ All types are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +49,14 @@ def equal_mass_edges(n: int) -> np.ndarray:
     e[0], e[n] = -np.inf, np.inf
     e[1:n] = ndtri(np.arange(1, n) / n)
     return e
+
+
+def checked_seed(seed) -> int:
+    """``seed`` as an int, if it is an integer in [0, 2**64): the seeds that
+    every generator here takes."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
@@ -88,20 +97,20 @@ class StepFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        a = np.asarray(self.breakpoints, dtype=float)
-        b = np.asarray(self.values, dtype=float)
-        if b.size != a.size + 1:
+        a = tuple(map(float, self.breakpoints))
+        b = tuple(map(float, self.values))
+        if len(b) != len(a) + 1:
             raise StructuralError(
-                f"need len(values) == len(breakpoints)+1, got {b.size} vs {a.size}"
+                f"need len(values) == len(breakpoints)+1, got {len(b)} vs {len(a)}"
             )
-        if not np.all(np.isfinite(a)):
+        if not all(map(math.isfinite, a)):
             raise StructuralError("breakpoints must be finite")
-        if a.size and (np.any(a <= 0) or np.any(np.diff(a) <= 0)):
+        if a and (a[0] <= 0 or any(x >= y for x, y in zip(a, a[1:]))):
             raise StructuralError("breakpoints must be strictly increasing and positive")
-        if np.any(np.isnan(b)) or np.any(np.abs(b) > 1 + 1e-15):
+        if not all(abs(x) <= 1 + 1e-15 for x in b):  # NaN fails too
             raise StructuralError("step values must lie in [-1, 1]")
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in a))
-        object.__setattr__(self, "values", tuple(float(x) for x in b))
+        object.__setattr__(self, "breakpoints", a)
+        object.__setattr__(self, "values", b)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -111,11 +120,18 @@ class StepFunction:
         return float(out) if out.ndim == 0 else out
 
     def cells(self):
-        """Full-line partition: edges (len 2l+3, with +-inf) and cell values."""
+        """Full-line partition: edges (len 2l+3, with +-inf) and cell values,
+        read-only and built on first use."""
+        return self._cells
+
+    @cached_property
+    def _cells(self):
         a = np.asarray(self.breakpoints)
         b = np.asarray(self.values)
         edges = np.concatenate([[-np.inf], -a[::-1], [0.0], a, [np.inf]])
         vals = np.concatenate([-b[::-1], b])
+        edges.setflags(write=False)
+        vals.setflags(write=False)
         return edges, vals
 
 

@@ -38,10 +38,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import NAEInstance, VectorAssignment
+from .core import NAEInstance, VectorAssignment, checked_seed
 from .errors import DomainError, StructuralError
 from .hardness import F2_STAR, P_STAR, mixture_value
-from .moments import MomentEstimate
+from .moments import _MOMENT_CHUNK, MomentEstimate
 from . import pipeline
 
 SQRT3 = math.sqrt(3.0)
@@ -119,7 +119,7 @@ def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
     """One draw of the k-vector sunflower distribution D_k."""
     if 2 * k + 1 > n:
         raise DomainError(f"D_{k} needs at least {2 * k + 1} coordinates, have {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     idx, s = _sample_tuples(rng, 1, n, 2 * k + 1)
     return _sparse_vecs(*_vector_rows(idx, s, _petal_cols(k)))
 
@@ -179,7 +179,7 @@ def gen_gap_instance(n: int, m3: int, m5: int, seed: int) -> GapInstance:
         raise DomainError(f"n={n} outside [12, 2^20]: a 5-clause needs 12 coordinates")
     if m3 < 1 or m5 < 1:
         raise DomainError("need at least one clause of each size")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     idx3, s3 = _sample_tuples(rng, m3, n, 6)
     idx5, s5 = _sample_tuples(rng, m5, n, 12)
     ind, sg = (np.concatenate(a) for a in zip(_vector_rows(idx3, s3, *_CLAUSE3),
@@ -269,6 +269,7 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
     """
     if samples < 2:
         raise DomainError("a moment estimate and its standard error need at least 2 samples")
+    seed = checked_seed(seed)
     if callable(rule):
         return _assignment_moments_callable(rule, n, min(samples, 20000), seed)
     p1, p2 = _checked_rule(rule)
@@ -279,10 +280,6 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
             raise DomainError(f"D_{k} needs n >= {2 * k + 1}")
         out.append(_estimate(_sunflower_products(p1, p2, k, samples, rng)))
     return out[0], out[1]
-
-
-# sunflower draws handled at once, bounding the memory of assignment_moments
-_MOMENT_CHUNK = 1 << 16
 
 
 def _sunflower_products(p1: float, p2: float, k: int, samples: int,
@@ -395,7 +392,7 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     p1, p2 = _checked_rule(rule)
     if trials < 1:
         raise DomainError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     rep_pos = np.broadcast_to(gap.positives, (trials, len(gap.indices)))
     assignments = _rule_coins(rep_pos, p1, p2, rng).astype(np.int8)
     fracs = pipeline.evaluate_many(gap.instance, assignments)
@@ -403,7 +400,7 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     se = float(fracs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     exp_frac, sigma_inst = expected_fraction(gap, rule)
     f2_est, f4_est = assignment_moments(rule, gap.n, moment_samples,
-                                        seed + 7919)
+                                        (seed + 7919) % 2**64)  # a seed, so in [0, 2**64)
     pred = mixture_value(WEIGHT_5, f2_est.value, f4_est.value)
     return GapEvaluation(mean, se, trials, float(exp_frac), float(sigma_inst),
                          float(pred), f2_est, f4_est)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .core import GramConfig, StepFunction, gaussian_pdf, validate_gram
+from .core import GramConfig, StepFunction, checked_seed, gaussian_pdf, validate_gram
 from .errors import DomainError
 
 _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every tolerance
@@ -34,11 +34,15 @@ _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every toleranc
 # + 1e-12, 0.02) ends at 1 + 1.8e-15; such a rho is taken as +-1
 _RHO_BOUND = 1.0 + 1e-12
 
-# Monte Carlo samples drawn per batch, bounding the memory of one call.  The
-# witness sums +-1 values, exactly, from sequentially filled normals, so its
-# result does not depend on the batch; moment_mc's float sums do
+# Monte Carlo draws are made _MOMENT_CHUNK rows at a time, which bounds the
+# working memory of one call and changes no bit: Generator normals fill in
+# sequence, so the chunks read the stream of one whole draw.  The summation
+# batch is what fixes moment_mc's bits: _mc_estimate adds up the float values
+# one batch at a time, so another batch size rounds differently.  The witness
+# sums +-1 values exactly, so its batch changes no bit either and is one chunk
+_MOMENT_CHUNK = 1 << 16
 _MOMENT_MC_BATCH = 10**6
-_WITNESS_BATCH = 1 << 18
+_WITNESS_BATCH = _MOMENT_CHUNK
 
 
 @dataclass(frozen=True)
@@ -330,10 +334,14 @@ def moment_mc(f: StepFunction, gram: GramConfig, samples: int = 10**6,
         raise DomainError(f"invalid Gram matrix: {diag}")
     L = _factor_psd(gram.matrix, 1e-9)
     k = gram.order
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
 
     def draw(m: int) -> np.ndarray:
-        return np.prod(f(rng.standard_normal((m, k)) @ L.T), axis=1)
+        out = np.empty(m)
+        for lo in range(0, m, _MOMENT_CHUNK):
+            c = min(_MOMENT_CHUNK, m - lo)
+            out[lo:lo + c] = np.prod(f(rng.standard_normal((c, k)) @ L.T), axis=1)
+        return out
 
     return _mc_estimate(draw, samples, _MOMENT_MC_BATCH)
 
@@ -375,7 +383,7 @@ def f4_negative_witness(delta: float, eps: float, samples: int = 10**8,
     if not 0.0 < eps < np.inf:
         raise DomainError("eps must be positive and finite")
     v = f4_witness_vectors(delta)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
 
     def draw(m: int) -> np.ndarray:
         # v_1 = e_1, so v_1 . u is z[:, 0] exactly, and only the draws with

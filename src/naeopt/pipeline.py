@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .core import Clause, NAEInstance, StepFunction, VectorAssignment
+from .core import Clause, NAEInstance, StepFunction, VectorAssignment, checked_seed
 from .errors import DomainError, StructuralError
 
 
@@ -369,7 +369,8 @@ def format_vectors(va: VectorAssignment, sparse_signs: tuple | None = None) -> s
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:
     # a uint64 key: a tuple key passes through int64 or float64 and loses seeds >= 2**63
-    return np.random.default_rng(np.random.Philox(key=np.array([seed, round_index], np.uint64)))
+    key = np.array([checked_seed(seed), round_index], np.uint64)
+    return np.random.default_rng(np.random.Philox(key=key))
 
 
 def rpr2_round(vectors: VectorAssignment, f: StepFunction, seed: int,

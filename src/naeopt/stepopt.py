@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGN, StepFunction
+from .core import SIGN, StepFunction, checked_seed
 from .errors import DomainError, StructuralError
 from .moments import sat_prob_symmetric
 
@@ -53,6 +53,7 @@ class StepSearchConfig:
         if self.restarts < 1:
             raise DomainError("need at least one restart")
         object.__setattr__(self, "clause_sizes", ks)
+        object.__setattr__(self, "seed", checked_seed(self.seed))
 
 
 def _checked_sizes(clause_sizes) -> tuple[int, ...]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,18 @@ def random_step_function(rng: np.random.Generator, max_breaks: int = 4,
     if monotone:
         values = np.sort(np.abs(values))
     return StepFunction(tuple(breaks), tuple(values))
+
+
+def peak_traced_mb(fn) -> float:
+    """Peak of the memory that tracemalloc traces while ``fn()`` runs, in MB
+    (10^6 bytes)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def array_loop_evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:

@@ -10,9 +10,10 @@ from naeopt.core import (
     GridFunction,
     NAEInstance,
     StepFunction,
+    checked_seed,
     validate_gram,
 )
-from naeopt.errors import StructuralError
+from naeopt.errors import DomainError, StructuralError
 
 from conftest import random_step_function
 
@@ -62,6 +63,31 @@ class TestStepFunction:
         assert np.array_equal(vals, [-1.0, 1.0, -1.0, 1.0])
         assert edges[0] == -np.inf and edges[-1] == np.inf
         assert list(edges[1:-1]) == [-1.0, 0.0, 1.0]
+
+    def test_cells_are_built_once_and_read_only(self):
+        f = StepFunction((0.5, 2.0), (0.25, -0.5, 1.0))
+        edges, vals = f.cells()
+        again = f.cells()
+        assert again[0] is edges and again[1] is vals
+        assert not edges.flags.writeable and not vals.flags.writeable
+        assert f == StepFunction((0.5, 2.0), (0.25, -0.5, 1.0))
+
+    def test_normalizes_to_float_tuples(self):
+        f = StepFunction(np.array([0.5, 2]), [np.float32(0.25), -1, 1])
+        assert f.breakpoints == (0.5, 2.0) and f.values == (0.25, -1.0, 1.0)
+        assert all(type(x) is float for x in f.breakpoints + f.values)
+
+    @pytest.mark.parametrize("args,message", [
+        (((1.0,), (1.0,)), "need len(values) == len(breakpoints)+1, got 1 vs 1"),
+        (((0.5, math.inf), (1, -1, 1)), "breakpoints must be finite"),
+        (((0.0,), (1, -1)), "breakpoints must be strictly increasing and positive"),
+        (((1.0, 1.0), (1, -1, 1)), "breakpoints must be strictly increasing and positive"),
+        (((1.0,), (1 + 1e-14, 1)), "step values must lie in [-1, 1]"),
+    ])
+    def test_validation_messages(self, args, message):
+        with pytest.raises(StructuralError) as err:
+            StepFunction(*args)
+        assert str(err.value) == message
 
 
 class TestGridFunction:
@@ -156,6 +182,21 @@ class TestNAEInstance:
         for arr in (l3, w3, l2, w2):
             assert not arr.flags.writeable
         assert NAEInstance(2, ()).clause_groups == ()
+
+
+# ---------------------------------------------------------------------------
+# seeds
+
+
+class TestCheckedSeed:
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)])
+    def test_accepts_the_uint64_range(self, seed):
+        assert checked_seed(seed) == int(seed) and type(checked_seed(seed)) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-2), 1.0, "3", None])
+    def test_rejects_the_rest(self, seed):
+        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            checked_seed(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from naeopt import gapgen as G
 from naeopt import hardness as H
 from naeopt import pipeline as P
 
-from conftest import array_loop_evaluate
+from conftest import array_loop_evaluate, peak_traced_mb
 
 SMALL = dict(n=48, m3=400, m5=400, seed=13)
 
@@ -252,6 +251,17 @@ class TestSunflower:
         with pytest.raises(DomainError):
             G.sunflower_sample(10, 5, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+    def test_seed_domain(self, small_gap, seed):
+        calls = (lambda: G.sunflower_sample(30, 5, seed),
+                 lambda: G.gen_gap_instance(12, 5, 5, seed),
+                 lambda: G.assignment_moments((G.P1_STAR, 0), 48, 10, seed),
+                 lambda: G.assignment_moments(lambda v: 1, 48, 10, seed),
+                 lambda: G.evaluate_gap(small_gap, (G.P1_STAR, 0), 2, seed, 10))
+        for call in calls:
+            with pytest.raises(DomainError, match="seed"):
+                call()
+
 
 class TestAssignmentMoments:
     def test_tuned_rule_hits_targets(self):
@@ -349,13 +359,8 @@ class TestChunkedMoments:
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_peak_memory(self):
-        tracemalloc.start()
-        try:
-            G.assignment_moments((G.P1_STAR, 0), 48, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6  # the whole-run int64 draw peaked above 120 MB
+        # the whole-run int64 draw peaked above 120 MB
+        assert peak_traced_mb(lambda: G.assignment_moments((G.P1_STAR, 0), 48, 10**6)) < 40
 
 
 class TestEvaluateGap:

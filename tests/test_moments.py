@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from naeopt.core import SIGN, GramConfig, StepFunction, equal_mass_edges, gaussi
 from naeopt.errors import DomainError
 from naeopt import fredholm, moments as M
 
-from conftest import random_step_function
+from conftest import peak_traced_mb, random_step_function
 
 # frozen oracle values, computed with mpmath (dps=30) by one-dimensional
 # quadrature of phi(x) ncdf((k - rho x)/sqrt(1-rho^2)) split at the
@@ -353,6 +352,31 @@ class TestMomentMC:
         assert est.value == pytest.approx(2 / 7, rel=1e-15)
         assert est.std_error == pytest.approx(math.sqrt((4 / 7 - (2 / 7) ** 2) / 7), rel=1e-15)
 
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        # the chunks fill one summation batch from the normal stream in order
+        f = StepFunction((0.4, 1.3), (0.2, 0.7, 1.0))
+        g = GramConfig([[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]])
+        got = set()
+        for chunk in (M._MOMENT_CHUNK, 20_003, 999, 7, 1):
+            monkeypatch.setattr(M, "_MOMENT_CHUNK", chunk)
+            got.add(repr(M.moment_mc(f, g, samples=20_003, seed=8)))
+        assert len(got) == 1
+
+    @pytest.mark.parametrize("k,bound_mb", [(2, 16), (4, 24)])
+    def test_peak_memory(self, k, bound_mb):
+        # a whole 10^6-row batch drawn at once peaked at 64 MB (k = 2) and
+        # 128 MB (k = 4); the 8 MB vector of products is all that must stay
+        g = GramConfig(np.full((k, k), 0.2) + 0.8 * np.eye(k))
+        f = StepFunction((0.4, 1.3), (0.2, 0.7, 1.0))
+        assert peak_traced_mb(lambda: M.moment_mc(f, g, samples=10**6)) <= bound_mb
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5, "3"])
+    def test_seed_domain(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            M.moment_mc(SIGN, GramConfig(np.eye(2)), samples=10, seed=seed)
+        with pytest.raises(DomainError, match="seed"):
+            M.f4_negative_witness(0.1, 0.2, samples=10, seed=seed)
+
 
 class TestF4NegativeWitness:
     def test_bias_closed_forms(self):
@@ -422,19 +446,15 @@ class TestF4NegativeWitness:
         # +-1 sums are exact and the normals fill in order, so batches of one
         # whole run, of the default and of an odd size give one result
         got = set()
-        for batch in (5 * 10**6, 1 << 18, 12_345):
+        for batch in (5 * 10**6, 1 << 18, 1 << 16, 12_345):
             monkeypatch.setattr(M, "_WITNESS_BATCH", batch)
             got.add(repr(M.f4_negative_witness(0.1, 0.5, samples=5 * 10**6, seed=4)))
         assert len(got) == 1
 
     def test_peak_memory(self):
-        tracemalloc.start()
-        try:
-            M.f4_negative_witness(0.1, 0.5, samples=5 * 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6  # one 5e6-row batch's normals alone are 120 MB
+        # one 5e6-row batch's normals alone are 120 MB, one 2^18-row batch
+        # peaked at 11.7 MB
+        assert peak_traced_mb(lambda: M.f4_negative_witness(0.1, 0.5, samples=5 * 10**6)) <= 4
 
 
 class TestMomentEstimate:
@@ -485,3 +505,18 @@ class TestBitPins:
                for s in (11, 12)]
         assert got == [(-4.5e-06, 1.0606577852917498e-06, 4000000, 18),
                        (-3e-06, 8.660241047453587e-07, 4000000, 12)]
+
+    def test_moment_mc_estimates(self):
+        # sample counts on both sides of the 2^16-row chunk and of the 10^6
+        # summation batch; step values off +-1 make the float sums inexact
+        f = StepFunction((0.4, 1.3), (0.2, 0.7, 1.0))
+        grams = ([[1.0, 0.3], [0.3, 1.0]],
+                 [[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]],
+                 [[1.0, 0.4, 0.3, -0.1], [0.4, 1.0, 0.2, 0.25],
+                  [0.3, 0.2, 1.0, 0.35], [-0.1, 0.25, 0.35, 1.0]])
+        counts = (1, (1 << 16) - 1, (1 << 16) + 1, 10**6, 10**6 + (1 << 16) + 3)
+        vals = [tuple(vars(M.moment_mc(f, GramConfig(g), samples=n, seed=seed)).values())
+                for seed, g in enumerate(grams, 21) for n in counts]
+        vals.append(tuple(vars(M.f4_negative_witness(0.1, 0.5, samples=3 * 10**6 + 7,
+                                                     seed=9)).values()))
+        assert _digest(vals) == "87771c5d962e827ff8eed4db76cc26ed464d6b2e6d67f225dd1ecf67b87960d9"

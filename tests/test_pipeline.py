@@ -188,6 +188,17 @@ class TestRounding:
             old = np.random.Philox(key=(seed, 3)).state["state"]["key"]
             assert np.array_equal(key, old)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.0])
+    def test_seed_domain(self, seed):
+        va = _symmetric_vectors(3, -1 / 3)
+        inst = NAEInstance(3, (Clause(1.0, (1, 2, 3)),))
+        calls = (lambda: P.rpr2_round(va, SIGN, seed),
+                 lambda: P.best_of_rounds(inst, va, SIGN, 2, seed),
+                 lambda: P.noise_assignment(np.ones(3, np.int8), 0.1, seed))
+        for call in calls:
+            with pytest.raises(DomainError, match="seed"):
+                call()
+
     def test_zero_function_uniform(self):
         va = _symmetric_vectors(4, 0.5)
         zero = StepFunction((), (0.0,))

@@ -61,6 +61,11 @@ class TestOptimizeStep:
         with pytest.raises(DomainError):
             S.StepSearchConfig((3, 5), restarts=restarts)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
+    def test_seed_domain(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            S.optimize_step(S.StepSearchConfig((3, 5), restarts=1, seed=seed))
+
     def test_pm_one_single_step_is_sign(self):
         res = S.optimize_step(S.StepSearchConfig((3, 5), steps=1, pm_one=True))
         assert res.f.breakpoints == () and res.f.values == (1.0,)

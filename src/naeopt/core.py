@@ -429,23 +429,60 @@ def _malformed_rows(lits: np.ndarray) -> np.ndarray:
             | (mag.shape[1] < 2))
 
 
+_NORM_BLOCK = 1 << 16  # elements squared at a time by _unit_norms
+
+
+def _unit_norms(v: np.ndarray) -> np.ndarray:
+    """The row norms of ``v`` as np.linalg.norm(v, axis=1) computes them,
+    sqrt(add.reduce(v * v)), squaring about 2^16 elements at a time; a
+    StructuralError unless every one is within 1e-6 of 1."""
+    rows = max(1, _NORM_BLOCK // max(1, v.shape[1]))
+    norms = np.empty(len(v))
+    for lo in range(0, len(v), rows):
+        c = v[lo:lo + rows]
+        np.sqrt(np.add.reduce(c * c, axis=1), out=norms[lo:lo + rows])
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN coordinates fail too
+        raise StructuralError("all vectors must have unit norm")
+    return norms
+
+
 @dataclass(frozen=True)
 class VectorAssignment:
-    """Unit vector per variable, stored as an (n, d) array (row i = var i+1)."""
+    """Unit vector per variable, stored as an (n, d) array (row i = var i+1).
+
+    The stored array is a new read-only one: the rows divided by their
+    norms, which takes the residual 1e-7-ish file roundoff away.  The
+    caller's array is neither written nor frozen."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
-        if v.ndim != 2:
+        try:
+            raw = np.asarray(self.vectors, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise StructuralError(f"vectors must form an (n, d) array of reals: {err}") from err
+        if raw.ndim != 2:
             raise StructuralError("vectors must form an (n, d) array")
-        norms = np.linalg.norm(v, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN coordinates fail too
-            raise StructuralError("all vectors must have unit norm")
-        # renormalize the residual 1e-7-ish file roundoff away
-        v /= norms[:, None]
+        v = raw / _unit_norms(raw)[:, None]
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
+
+    @classmethod
+    def _from_sparse_rows(cls, shape: tuple[int, int], rows: np.ndarray, indices: np.ndarray,
+                          signs: np.ndarray, dense=()) -> "VectorAssignment":
+        """The assignment of ``shape`` whose row ``rows[i]`` is ``signs[i] /
+        sqrt(3)`` at the three ``indices[i]`` and 0 elsewhere, and row r
+        ``values`` for every (r, values) in ``dense``; rows are checked and
+        divided by their norms as the constructor does, in the one array."""
+        v = np.zeros(shape)
+        v[rows[:, None], indices] = signs / math.sqrt(3.0)
+        for r, values in dense:
+            v[r] = values
+        v /= _unit_norms(v)[:, None]
+        v.setflags(write=False)
+        va = cls.__new__(cls)
+        object.__setattr__(va, "vectors", v)
+        return va
 
     @property
     def num_vars(self) -> int:

@@ -44,7 +44,6 @@ from .hardness import F2_STAR, P_STAR, mixture_value
 from .moments import _MOMENT_CHUNK, MomentEstimate
 from . import pipeline
 
-SQRT3 = math.sqrt(3.0)
 WEIGHT_5 = P_STAR          # total weight on the 5-clause class
 WEIGHT_3 = 1.0 - P_STAR
 
@@ -91,8 +90,20 @@ _CLAUSE3 = ([(0, 1, 3), (1, 2, 4), (2, 0, 5)], (1, -1, 1))
 _CLAUSE5 = (_petal_cols(4) + [(9, 10, 11)], 1)
 
 
+_TUPLE_BLOCK = 1 << 16  # uniforms drawn and sorted at a time by _sample_tuples
+
+
 def _sample_tuples(rng: np.random.Generator, m: int, n: int, width: int):
-    idx = np.argsort(rng.random((m, n)), axis=1)[:, :width]
+    """m rows of ``width`` distinct coordinates of n (the head of a uniform
+    permutation, from the argsort of n uniforms) with uniform signs.  The
+    uniforms are drawn and sorted about 2^16 at a time: rows sort on their
+    own and the generator fills them in sequence, so the blocks give the
+    rows of one (m, n) draw."""
+    idx = np.empty((m, width), np.intp)
+    rows = max(1, _TUPLE_BLOCK // n)
+    for lo in range(0, m, rows):
+        block = idx[lo:lo + rows]
+        block[:] = np.argsort(rng.random((len(block), n)), axis=1)[:, :width]
     signs = rng.integers(0, 2, size=(m, width)) * 2 - 1
     return idx, signs
 
@@ -152,15 +163,33 @@ class GapInstance:
                 for lits, _ in self.instance.clause_groups]
         return tuple(self.instance.in_clause_order(rows).tolist())
 
+    def pair_numerators(self) -> tuple[np.ndarray, ...]:
+        """3 * the dot product of the vectors of every literal pair of every
+        clause, exact integers: one (m, k(k-1)/2) array per clause group of
+        ``instance.clause_groups``, pairs (a, b) in np.triu_indices(k, 1)
+        order.  A negative literal is the negated variable."""
+        out = []
+        for lits, _ in self.instance.clause_groups:
+            var = np.abs(lits) - 1
+            ind = self.indices[var]                                    # (m, k, 3)
+            sg = self.signs[var] * np.sign(lits)[..., None]
+            a, b = np.triu_indices(lits.shape[1], 1)
+            num = np.zeros((len(lits), len(a)), np.int64)
+            for i in range(3):  # coordinates are distinct within a vector: one match at most
+                for j in range(3):
+                    num += np.where(ind[:, a, i] == ind[:, b, j], sg[:, a, i] * sg[:, b, j], 0)
+            out.append(num)
+        return tuple(out)
+
     @property
     def positives(self) -> np.ndarray:
         """Positive-sign count (2 or 3) of each variable's representative."""
         return (self.signs > 0).sum(axis=1)
 
     def vector_assignment(self) -> VectorAssignment:
-        vectors = np.zeros((len(self.indices), self.n))
-        np.put_along_axis(vectors, self.indices, self.signs / SQRT3, axis=1)
-        return VectorAssignment(vectors)
+        return VectorAssignment._from_sparse_rows((len(self.indices), self.n),
+                                                  np.arange(len(self.indices)),
+                                                  self.indices, self.signs)
 
     def sparse_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices, signs) of every variable, as ``pipeline.format_vectors`` takes them."""
@@ -251,12 +280,19 @@ def _checked_rule(rule) -> tuple[float, float]:
     return p1, p2
 
 
-def _rule_coins(rep_positives: np.ndarray, p1: float, p2: float,
+def _rule_coins(rep_positives: np.ndarray, p1: float, p2: float, trials: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """The two-probability rule on representatives: +1 with probability p1
-    where all three signs are positive, p2 where two are; else -1."""
-    p_sel = np.where(rep_positives == 3, p1, p2)
-    return np.where(rng.random(rep_positives.shape) < p_sel, 1, -1)
+    """``trials`` int8 rows of the two-probability rule on representatives:
+    +1 with probability p1 where all three signs are positive, p2 where two
+    are; else -1.  A row of uniforms at a time reads the stream of one
+    (trials, V) draw."""
+    p = np.where(rep_positives == 3, p1, p2)
+    coins = np.empty((trials, p.size), np.int8)
+    for row in coins:
+        row[:] = rng.random(p.size) < p
+    coins *= 2
+    coins -= 1
+    return coins
 
 
 def assignment_moments(rule, n: int, samples: int = 10**6,
@@ -284,7 +320,7 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
 
 def _sunflower_products(p1: float, p2: float, k: int, samples: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """The +-1.0 product of the k petal values of each of ``samples`` draws.
+    """The int8 +-1 product of the k petal values of each of ``samples`` draws.
 
     Petal indices never collide inside one tuple, so only the sign
     pattern matters for the rounding outcome: no index is sampled.  Each
@@ -303,19 +339,23 @@ def _sunflower_products(p1: float, p2: float, k: int, samples: int,
     # signs) or its coin is -1 (u >= p), not both; p is p1 on the sign
     # patterns with 0 or 3 positive signs, else p2
     p = np.where([True, False, False, True], p1, p2)
-    prods = np.empty(samples)
+    prods = np.empty(samples, np.int8)
     for lo in range(0, samples, _MOMENT_CHUNK):
         chunk = pos[lo:lo + _MOMENT_CHUNK]
         neg = (chunk < 2) == (rng.random(chunk.shape) < p.take(chunk))
         bits = neg.view(f"u{k}")[:, 0]  # a draw's k bools as one integer, k = 2 or 4
         for shift in (16, 8) if k == 4 else (8,):
             bits ^= bits >> shift  # fold: the low bit becomes the parity of the k bools
-        prods[lo:lo + len(chunk)] = 1.0 - 2.0 * (bits & 1)
+        prods[lo:lo + len(chunk)] = bits & 1  # 1 where the product is -1
+    prods *= -2
+    prods += 1
     return prods
 
 
 def _estimate(prods: np.ndarray) -> MomentEstimate:
-    """Sample mean with its ddof=1 standard error."""
+    """Sample mean with its ddof=1 standard error.  Integer products give
+    the bits float ones do: their float64 sum is exact either way, and the
+    deviations from the mean are the same float64 values."""
     return MomentEstimate(float(prods.mean()),
                           float(prods.std(ddof=1) / math.sqrt(prods.size)), prods.size,
                           prods.size)
@@ -393,9 +433,7 @@ def evaluate_gap(gap: GapInstance, rule: tuple[float, float], trials: int = 20,
     if trials < 1:
         raise DomainError("need at least one trial")
     rng = np.random.default_rng(checked_seed(seed))
-    rep_pos = np.broadcast_to(gap.positives, (trials, len(gap.indices)))
-    assignments = _rule_coins(rep_pos, p1, p2, rng).astype(np.int8)
-    fracs = pipeline.evaluate_many(gap.instance, assignments)
+    fracs = pipeline.evaluate_many(gap.instance, _rule_coins(gap.positives, p1, p2, trials, rng))
     mean = float(fracs.mean())
     se = float(fracs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     exp_frac, sigma_inst = expected_fraction(gap, rule)

@@ -34,8 +34,6 @@ raise every line-numbered StructuralError.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import Clause, NAEInstance, StepFunction, VectorAssignment, checked_seed
@@ -223,9 +221,6 @@ def format_instance(inst: NAEInstance, comment: str | None = None) -> str:
     return "\n".join(lines + inst.in_clause_order(groups).tolist()) + "\n"
 
 
-_SQRT3 = math.sqrt(3.0)
-
-
 # the non-digit bytes of a sparse row "<id> s <i>:<+-s> <j>:<+-t> <k>:<+-u>", and
 # which of them follow digits (the id, the indices, the signs' digits)
 _SPARSE_ROW = np.frombuffer(b" s :+ :+ :+\n", np.uint8)
@@ -337,11 +332,8 @@ def _read_vector_rows_lines(text: str) -> tuple[int, int, tuple, dict]:
 
 def parse_vectors(text: str) -> VectorAssignment:
     n, dim, (ids, indices, signs), dense = read_vector_rows(text)
-    vectors = np.zeros((n, dim))
-    vectors[(ids - 1)[:, None], indices] = signs / _SQRT3
-    for vid, row in dense.items():
-        vectors[vid - 1] = row
-    return VectorAssignment(vectors)
+    return VectorAssignment._from_sparse_rows((n, dim), ids - 1, indices, signs,
+                                              ((vid - 1, row) for vid, row in dense.items()))
 
 
 def format_vectors(va: VectorAssignment, sparse_signs: tuple | None = None) -> str:

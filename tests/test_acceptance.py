@@ -149,14 +149,13 @@ def test_criterion_6_ordering_claims():
 
 def test_criterion_7_gap_instance():
     gap = gapgen.gen_gap_instance(48, 10**5, 10**5, seed=2024)
-    exact = all(
-        vecs[x].dot_numerator(vecs[y]) == -1
-        for vecs in gap.clause_vectors[: gap.num_3clauses]
-        for x in range(3) for y in range(x + 1, 3))
-    exact = exact and all(
-        vecs[x].dot_numerator(vecs[y]) == (1 if y < 4 else 0)
-        for vecs in gap.clause_vectors[gap.num_3clauses:]
-        for x in range(4) for y in range(x + 1, 5))
+    # 3 * each pair bias, pairs (x, y) in triu order: -1 in a 3-clause; in a
+    # 5-clause 1 among the four petals, 0 against the fifth vector
+    want = {3: -1, 5: np.where(np.triu_indices(5, 1)[1] < 4, 1, 0)}
+    groups = gap.instance.clause_groups
+    exact = [lits.shape[1] for lits, _ in groups] == [3, 5] and all(
+        np.all(nums == want[lits.shape[1]])
+        for (lits, _), nums in zip(groups, gap.pair_numerators()))
     res = gapgen.evaluate_gap(gap, (gapgen.P1_STAR, 0.0), trials=20, seed=31,
                               moment_samples=10**6)
     frac_ok = abs(res.fraction - 0.8739) < 0.003

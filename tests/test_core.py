@@ -10,6 +10,7 @@ from naeopt.core import (
     GridFunction,
     NAEInstance,
     StepFunction,
+    VectorAssignment,
     checked_seed,
     validate_gram,
 )
@@ -182,6 +183,34 @@ class TestNAEInstance:
         for arr in (l3, w3, l2, w2):
             assert not arr.flags.writeable
         assert NAEInstance(2, ()).clause_groups == ()
+
+
+# ---------------------------------------------------------------------------
+# vector assignments
+
+
+class TestVectorAssignment:
+    @pytest.mark.parametrize("raw", [[[1.0], [1.0, 0.0]], [["a"]], "x", [[{}]], [[None, 1.0]]])
+    def test_malformed_input_is_structural(self, raw):
+        with pytest.raises(StructuralError):
+            VectorAssignment(raw)
+
+    @pytest.mark.parametrize("raw", [[1.0, 0.0], [[[1.0]]], [[1.0, 1.0]], [[math.nan]],
+                                     np.zeros((2, 0))])
+    def test_not_unit_rows_are_structural(self, raw):
+        with pytest.raises(StructuralError):
+            VectorAssignment(raw)
+
+    @pytest.mark.parametrize("raw", [np.array([[1.0, 0.0], [0.6, 0.8]]),
+                                     np.array([[1.0, 0.0], [0.6, 0.8]], np.float32),
+                                     np.array([[1, 0], [0, -1]])])
+    def test_callers_array_is_neither_written_nor_frozen(self, raw):
+        before = raw.copy()
+        va = VectorAssignment(raw)
+        assert raw.flags.writeable and np.array_equal(raw, before)
+        assert not np.shares_memory(va.vectors, raw) and not va.vectors.flags.writeable
+        raw[0, 0] = 5
+        assert va.vectors[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------

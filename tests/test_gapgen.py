@@ -64,17 +64,25 @@ class TestSparseVec:
         assert abs(dv @ dw) < 1e-15
 
 
+# 3 * the pair biases of a clause, pairs in np.triu_indices(k, 1) order: -1
+# in a 3-clause; 1 among a 5-clause's four petals, 0 against its fifth vector
+EXACT_NUMERATORS = {3: -1, 5: np.where(np.triu_indices(5, 1)[1] < 4, 1, 0)}
+
+
+def _object_numerators(gap):
+    """pair_numerators through SparseVec.dot_numerator, one clause at a time."""
+    per_clause = [[vecs[a].dot_numerator(vecs[b]) for a, b in zip(*np.triu_indices(len(vecs), 1))]
+                  for vecs in gap.clause_vectors]
+    return tuple(np.array([per_clause[i] for i in np.flatnonzero(gap.instance.clause_group == g)])
+                 for g in range(len(gap.instance.clause_groups)))
+
+
 class TestGeneration:
     def test_exact_bias_patterns(self, gap):
-        for vecs in gap.clause_vectors[: gap.num_3clauses]:
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    assert vecs[a].dot_numerator(vecs[b]) == -1
-        for vecs in gap.clause_vectors[gap.num_3clauses:]:
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    assert vecs[a].dot_numerator(vecs[b]) == 1
-                assert vecs[a].dot_numerator(vecs[4]) == 0
+        groups = gap.instance.clause_groups
+        assert [lits.shape[1] for lits, _ in groups] == [3, 5]
+        for (lits, _), nums in zip(groups, gap.pair_numerators()):
+            assert np.all(nums == EXACT_NUMERATORS[lits.shape[1]])
 
     def test_weights(self, small_gap):
         inst = small_gap.instance
@@ -173,6 +181,29 @@ class TestGeneration:
         from naeopt.core import GramConfig, validate_gram
         v = small_gap.vector_assignment().vectors[:50]
         assert validate_gram(GramConfig(v @ v.T)).accepted
+
+
+class TestPairNumerators:
+    def test_matches_the_objects(self, gap):
+        got, want = gap.pair_numerators(), _object_numerators(gap)
+        assert len(got) == len(want) == 2
+        assert all(np.array_equal(a, b) and a.dtype.kind == "i" for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n, seed", [(12, 1), (14, 2), (48, 3)])
+    def test_matches_the_objects_on_mutated_vectors(self, n, seed):
+        # fresh index rows and flipped signs: every numerator from -3 to 3 can occur
+        base = G.gen_gap_instance(n, 60, 60, seed)
+        rng = np.random.default_rng(seed)
+        indices = np.sort(np.argsort(rng.random((len(base.indices), n)), axis=1)[:, :3], axis=1)
+        keep = rng.random(len(indices)) < 0.5
+        indices[keep] = base.indices[keep]
+        signs = base.signs * rng.choice([-1, 1], size=base.signs.shape)
+        gap = G.GapInstance(n, base.num_3clauses, base.num_5clauses, indices, signs,
+                            base.instance)
+        got, want = gap.pair_numerators(), _object_numerators(gap)
+        assert len(got) == len(want) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert not np.all(got[0] == -1)
 
 
 class TestPinnedOutputs:
@@ -331,7 +362,8 @@ def _int64_assignment_moments(rule, n, samples, seed):
     for k in (2, 4):
         positive = rng.integers(0, 2, size=(samples, 2 * k + 1)) > 0
         pos = positive[:, G._petal_cols(k)].sum(axis=2, dtype=np.int8)
-        x = G._orientation(pos) * G._rule_coins(np.maximum(pos, 3 - pos), p1, p2, rng)
+        p = np.where(np.maximum(pos, 3 - pos) == 3, p1, p2)
+        x = G._orientation(pos) * np.where(rng.random(pos.shape) < p, 1, -1)
         out.append(G._estimate(np.prod(x, axis=1).astype(float)))
     return out[0], out[1]
 
@@ -409,3 +441,30 @@ class TestEvaluateGap:
     def test_no_trials_rejected(self, small_gap, trials):
         with pytest.raises(DomainError):
             G.evaluate_gap(small_gap, (G.P1_STAR, 0.0), trials=trials, moment_samples=10)
+
+
+class TestPeakMemory:
+    """tracemalloc peaks (MB of 10^6 bytes) of the gap path at the benchmark's
+    size: each step allocates its output once."""
+
+    @pytest.fixture(scope="class")
+    def bench_gap(self):
+        return G.gen_gap_instance(48, 5000, 5000, seed=7)
+
+    def test_vector_assignment(self, bench_gap):
+        # the zeros, a defensive copy and np.linalg.norm's temporaries made 3x
+        nbytes = bench_gap.vector_assignment().vectors.nbytes
+        assert peak_traced_mb(bench_gap.vector_assignment) <= 1.3 * nbytes / 1e6
+
+    def test_parse_vectors(self, bench_gap):
+        text = _files(bench_gap)[1]
+        assert peak_traced_mb(lambda: P.parse_vectors(text)) <= 18  # was 37.9
+
+    def test_evaluate_gap(self, bench_gap):
+        # int8 trial coins and moment products; float64/int64 ones made 19.9
+        assert peak_traced_mb(lambda: G.evaluate_gap(bench_gap, (G.P1_STAR, 0.0), trials=20,
+                                                     seed=3, moment_samples=10**6)) <= 15
+
+    def test_generation(self):
+        # tuples drawn and sorted in blocks; one whole argsort made 38.9
+        assert peak_traced_mb(lambda: G.gen_gap_instance(48, 2 * 10**4, 2 * 10**4, seed=5)) <= 30

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from naeopt.core import SIGN, Clause, NAEInstance, StepFunction, VectorAssignment
 from naeopt.errors import DomainError, StructuralError
-from naeopt import moments as M
+from naeopt import gapgen as G, moments as M
 from naeopt import pipeline as P
 
 from conftest import array_loop_evaluate
@@ -339,3 +340,57 @@ class TestPipelineAgainstMoments:
         hits = sum(P.evaluate(inst, P.rpr2_round(va, zero, seed=s)) for s in range(rounds))
         want = P.random_baseline(inst)
         assert abs(hits / rounds - want) < 3 * math.sqrt(want * (1 - want) / rounds)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestBitPins:
+    """Digests of the vector arrays and of the rounding draws, taken before
+    VectorAssignment and the gap readers stopped copying their arrays and
+    before the rounding generator is reworked; neither is to move a bit."""
+
+    SEEDS = (0, 5, 2**63 + 5, 2**64 - 1)
+
+    @pytest.mark.parametrize("args, digest", [
+        ((48, 400, 400, 13), "b97a2029cb781202a8c64ac5896ce86e28d4b351a51774a93f4c6c201eff1e5b"),
+        ((12, 300, 200, 9), "5750e48ed8d9c65d784b70c640ed1c1df3538a01b2127e1edde07372961b67df"),
+    ])
+    def test_gap_vectors(self, args, digest):
+        gap = G.gen_gap_instance(*args)
+        va = gap.vector_assignment()
+        assert _digest([va.vectors]) == digest
+        assert _digest([P.parse_vectors(P.format_vectors(va, gap.sparse_rows())).vectors]) \
+            == digest
+
+    @pytest.mark.parametrize("d, digest", [
+        (1, "89b92adf650ae91c32b3cdc9fb51291f1184775854b750397ccb9377288e11b2"),
+        (3, "d5021003304efe9dfa6dfcba96a85fccb875c5d2f29cdce2a884aeb9c1262833"),
+        (48, "820682e0f5c66f9238c05fc4baf4f526d60c6cc4428e1e22728857652b9453fd"),
+        (200, "829bd8636303798b2a5d70336d6ff3b823e738e4d36c10d4f5317614030cad9a"),
+    ])
+    def test_dense_rows_renormalized(self, d, digest):
+        # rows enough for three 2^16-element blocks; norms off 1 by up to 1e-7
+        rng = np.random.default_rng(d)
+        v = rng.normal(size=(3 * 2**16 // d + 7, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v *= 1.0 + rng.uniform(-1e-7, 1e-7, size=(len(v), 1))
+        # a Fortran-ordered array sums each row in another order: its bits are pinned too
+        got = [VectorAssignment(v).vectors, VectorAssignment(np.asfortranarray(v)).vectors]
+        assert _digest(got) == digest
+
+    def test_rounding_draws(self):
+        rng = np.random.default_rng(77)
+        v = rng.normal(size=(300, 7))
+        va = VectorAssignment(v / np.linalg.norm(v, axis=1, keepdims=True))
+        f = StepFunction((0.3, 1.1), (0.25, -0.4, 0.9))  # off +-1: every coin counts
+        got = []
+        for seed in self.SEEDS:
+            for r in (0, 3):
+                a = P.rpr2_round(va, f, seed, r)
+                got += [a, P.noise_assignment(a, 0.2, seed)]
+        assert _digest(got) == "35f71a7f3f9d766bdffc0429d7564f4c85b4b7b693a24ceb1b41b2529ca4841e"

@@ -333,7 +333,7 @@ def _build_parser() -> _Parser:
 
     p = _Parser(prog="naeopt", description=__doc__)
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("NAEOPT_THREADS", "1")),
+                   default=os.environ.get("NAEOPT_THREADS", "1"),  # a bad value is a usage error
                    help="worker processes for grid scans")
     sub = p.add_subparsers(dest="sub", required=True)
 

@@ -474,7 +474,10 @@ class VectorAssignment:
         sqrt(3)`` at the three ``indices[i]`` and 0 elsewhere, and row r
         ``values`` for every (r, values) in ``dense``; rows are checked and
         divided by their norms as the constructor does, in the one array."""
-        v = np.zeros(shape)
+        try:
+            v = np.zeros(shape)
+        except ValueError as err:  # numpy's bound on a dimension or on the size
+            raise StructuralError(f"{shape[0]} vectors of dimension {shape[1]}: {err}") from err
         v[rows[:, None], indices] = signs / math.sqrt(3.0)
         for r, values in dense:
             v[r] = values

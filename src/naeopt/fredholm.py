@@ -489,12 +489,12 @@ def curve(problem: str, alpha_grid, rho_grid, n: int = CURVE_N,
     return pts
 
 
-def lower_envelope(points, buckets: int = 200) -> list[tuple[float, float]]:
-    """Minimum soundness per completeness bucket, cleaned so soundness is
-    non-decreasing in completeness (a valid integrality-curve shape)."""
+def lower_envelope(points) -> list[tuple[float, float]]:
+    """Minimum soundness per completeness bucket of width 1/200, cleaned so
+    soundness is non-decreasing in completeness (a valid integrality-curve shape)."""
     best: dict[int, tuple[float, float]] = {}
     for p in points:
-        b = int(round(p.completeness * buckets))
+        b = int(round(p.completeness * 200))
         if b not in best or p.soundness < best[b][1]:
             best[b] = (p.completeness, p.soundness)
     env = sorted(best.values())

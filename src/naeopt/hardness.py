@@ -54,7 +54,7 @@ def inner_max(p: float) -> tuple[float, float]:
     return f2, mixture_value(p, f2, f2 * f2)
 
 
-def nae35_bound(verify_tol: float = 1e-9) -> MixtureBound:
+def nae35_bound() -> MixtureBound:
     """Closed-form bound plus an independent numeric minimax check.
 
     The check runs a 2001-point grid over p followed by golden-section
@@ -69,7 +69,7 @@ def nae35_bound(verify_tol: float = 1e-9) -> MixtureBound:
     p_num = golden_section_min(lambda p: inner_max(p)[1], lo, hi, 200)
     numeric = inner_max(p_num)[1]
     residual = abs(numeric - BOUND)
-    if residual > verify_tol:
+    if residual > 1e-9:
         raise AssertionError(
             f"numeric minimax {numeric!r} disagrees with closed form {BOUND!r}"
         )

@@ -25,11 +25,14 @@ num_vars has exactly one row.
 
 The readers take a file in one vectorized pass when it has the shape the
 writers give it: ASCII, 'c' comments only before the header, header
-counts below 2^53, single spaces, one clause or sparse row per line,
-integer fields as plain digits, and instance weights as plain decimals.
-Any other file (dense vector files among them), and any file that fails a
-check, goes to the line-by-line parsers, which read it as before and
-raise every line-numbered StructuralError.
+counts below 2^53, single spaces, and one clause or sparse row per line.
+An instance body holds only digits, '-' and '+', and '.', 'e' and 'E' only
+in a clause's weight; numpy's text reader must read every token whole,
+which it does only for tokens it then reads as float() and int() do.  A
+sparse row's fields are plain digits, its signs '+' or '-'.  Any other
+file (dense vector files among them), and any file that fails a check,
+goes to the line-by-line parsers, which read it as before and raise every
+line-numbered StructuralError.
 """
 
 from __future__ import annotations
@@ -52,31 +55,11 @@ def _convert(kind, tokens: list[str], lineno: int, what: str) -> list:
         raise StructuralError(f"line {lineno}: malformed {what}: {err}") from err
 
 
-# byte classes of the bulk readers; class 0 is a byte only the line parsers read
-_DIGIT, _SP, _NL, _MINUS, _PLUS, _DOT, _EXP = range(1, 8)
-_CLASS = np.zeros(256, np.uint8)
-_CLASS[ord("0"): ord("9") + 1] = _DIGIT
-for _ch, _cls in zip(" \n-+.eE", (_SP, _NL, _MINUS, _PLUS, _DOT, _EXP, _EXP)):
-    _CLASS[ord(_ch)] = _cls
-
-
-def _class_table(allowed: dict) -> np.ndarray:
-    table = np.zeros((8, 8), bool)
-    for cls, others in allowed.items():
-        table[cls, list(others)] = True
-    return table
-
-
-# Each token must read -?D+(.D+)?(e[+-]?D+)?: the byte before and after
-# every non-digit byte, and the next non-digit byte after it (an exponent's
-# sign counts as _PLUS), must be allowed here.
-_ANY = range(8)
-_BEFORE = _class_table({_SP: [_DIGIT], _NL: [_DIGIT], _MINUS: [_SP, _NL, _EXP],
-                        _PLUS: [_EXP], _DOT: [_DIGIT], _EXP: [_DIGIT]})
-_AFTER = _class_table({_SP: _ANY, _NL: _ANY, _MINUS: [_DIGIT], _PLUS: [_DIGIT],
-                       _DOT: [_DIGIT], _EXP: [_DIGIT, _MINUS, _PLUS]})
-_THEN = _class_table({_SP: _ANY, _NL: _ANY, _MINUS: [_DOT, _EXP, _SP, _NL],
-                      _PLUS: [_SP, _NL], _DOT: [_EXP, _SP, _NL], _EXP: [_PLUS, _SP, _NL]})
+# the bytes a bulk body may hold, and those of them only a weight may hold
+_BULK = np.zeros(256, bool)
+_BULK[list(b"0123456789 \n-+.eE")] = True
+_WEIGHT_ONLY = np.zeros(256, bool)
+_WEIGHT_ONLY[list(b".eE")] = True
 
 
 def _bulk_split(text: str, head: list[str]) -> tuple[list[int], str] | None:
@@ -107,28 +90,26 @@ def _bulk_split(text: str, head: list[str]) -> tuple[list[int], str] | None:
 
 
 def _scan(body: str):
-    """(values, first token of each line, tokens per line, which tokens have a
-    '.' or an exponent) of a body of decimal tokens, each line's separated by
-    single spaces; None unless every token reads -?D+(.D+)?(e[+-]?D+)?."""
+    """(values, first token of each line, tokens per line) of a body of
+    tokens that numpy reads whole, each line's separated by single spaces,
+    with '.', 'e' and 'E' only in a line's first token; else None."""
     b = np.frombuffer(body.encode(), np.uint8)
-    at = np.flatnonzero((b < ord("0")) | (b > ord("9")))
-    cls = _CLASS[b[at]]
-    before = _CLASS[b[at - 1]]  # the body ends in a newline: b[-1] stands in before b[0]
-    after = _CLASS[b[(at + 1) % b.size]]
-    then = np.where((cls == _MINUS) & (before == _EXP), _PLUS, cls)
-    if not (_BEFORE[cls, before].all() and _AFTER[cls, after].all()
-            and _THEN[then[:-1], then[1:]].all()):
+    if not _BULK[b].all():
         return None
-    sep = (cls == _SP) | (cls == _NL)
-    token = np.cumsum(sep) - sep  # token of each non-digit byte, a separator ending its own
-    last = token[cls == _NL]
+    try:  # numpy 2 raises on a token it cannot read whole; numpy 1 warns
+        values = np.fromstring(body, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    sep = np.flatnonzero((b == ord(" ")) | (b == ord("\n")))
+    if values.size != sep.size:  # an empty token, or a numpy 1 partial read
+        return None
+    newline = b[sep] == ord("\n")
+    # the separator before each '.eE' byte ends a line (the body's last one stands in before b[0])
+    if not newline[np.searchsorted(sep, np.flatnonzero(_WEIGHT_ONLY[b])) - 1].all():
+        return None
+    last = np.flatnonzero(newline)
     count = np.diff(last, prepend=-1)
-    values = np.fromstring(body, sep=" ")
-    if values.size != np.count_nonzero(sep):
-        return None
-    decimal = np.zeros(values.size, bool)
-    decimal[token[(cls == _DOT) | (cls == _EXP)]] = True
-    return values, last - count + 1, count, decimal
+    return values, last - count + 1, count
 
 
 def _parse_instance_bulk(text: str) -> NAEInstance | None:
@@ -139,10 +120,10 @@ def _parse_instance_bulk(text: str) -> NAEInstance | None:
     scan = _scan(body)
     if scan is None:
         return None
-    values, first, count, decimal = scan
+    values, first, count = scan
     k = count - 2
-    if len(first) != declared or k.min() < 0 or decimal.sum() != decimal[first].sum():
-        return None  # decimal points and exponents only in weights
+    if len(first) != declared or k.min() < 0:
+        return None
     if not np.array_equal(values[first + 1], k):
         return None
     _, first_use, size = np.unique(k, return_index=True, return_inverse=True)
@@ -382,6 +363,12 @@ def _not_all_equal(assignments: np.ndarray, lits: np.ndarray) -> np.ndarray:
     return (true > 0) & (true < lits.shape[1])
 
 
+def _total_weight(inst: NAEInstance) -> float:
+    if not inst.clause_group.size:
+        raise DomainError("an instance with no clauses has no satisfied fraction")
+    return inst.total_weight
+
+
 def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
     """Weighted fraction of clauses with literal values not all equal."""
     assignment = np.asarray(assignment)
@@ -390,7 +377,7 @@ def evaluate(inst: NAEInstance, assignment: np.ndarray) -> float:
     sat = inst.in_clause_order([_not_all_equal(assignment, lits) for lits, _ in inst.clause_groups])
     weights = inst.clause_weights[sat.astype(bool)]
     # the satisfied weights added one at a time in clause order, as a loop would
-    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0) / inst.total_weight
+    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0) / _total_weight(inst)
 
 
 def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
@@ -399,13 +386,13 @@ def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
     sat = np.zeros(assignments.shape[0])
     for lits, w in inst.clause_groups:
         sat += _not_all_equal(assignments, lits) @ w
-    return sat / inst.total_weight
+    return sat / _total_weight(inst)
 
 
 def random_baseline(inst: NAEInstance) -> float:
     """Expected value of a uniform assignment: sum w (1 - 2^(1-k)) / sum w."""
     terms = [w * (1.0 - 2.0 ** (1 - lits.shape[1])) for lits, w in inst.clause_groups]
-    return sum(inst.in_clause_order(terms).tolist()) / inst.total_weight
+    return sum(inst.in_clause_order(terms).tolist()) / _total_weight(inst)
 
 
 def best_of_rounds(inst: NAEInstance, vectors: VectorAssignment, f: StepFunction,

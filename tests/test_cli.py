@@ -224,6 +224,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["round", "gap eval"])
+    def test_instance_without_clauses_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "i.nae").write_text("p nae 1 0\n")
+        (tmp_path / "v.txt").write_text("v 1 3\n1 s 1:+1 2:+1 3:+1\n")
+        extra = ("--f", "sign", "--rounds", "2") if command == "round" else ("--trials", "2")
+        assert run(tmp_path, *command.split(), "--instance", "i.nae", "--vectors", "v.txt",
+                   *extra, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "no clauses" in err and "Traceback" not in err
+
+    def test_dimension_numpy_cannot_hold_exits_2(self, tmp_path, capsys):
+        (tmp_path / "i.nae").write_text("p nae 1 0\n")
+        (tmp_path / "v.txt").write_text("v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n")
+        assert run(tmp_path, "round", "--instance", "i.nae", "--vectors", "v.txt", "--f", "sign",
+                   "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "dimension 99999999999999999999" in err and "Traceback" not in err
+
+    def test_bad_thread_count_in_the_environment_is_a_usage_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setenv("NAEOPT_THREADS", "x")
+        assert run(tmp_path, "bound", "nae35", "--out", str(tmp_path / "b")) == 1
+        err = capsys.readouterr().err
+        assert "invalid int value: 'x'" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_ratio_grid_too_small(self, tmp_path, capsys):
         assert run(tmp_path, "ratio", "--problem", "maxcut", "--grid", "1",
                    "--out", str(tmp_path / "q")) == 2

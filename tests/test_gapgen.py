@@ -456,6 +456,10 @@ class TestPeakMemory:
         nbytes = bench_gap.vector_assignment().vectors.nbytes
         assert peak_traced_mb(bench_gap.vector_assignment) <= 1.3 * nbytes / 1e6
 
+    def test_parse_instance(self, bench_gap):
+        text = _files(bench_gap)[0]
+        assert peak_traced_mb(lambda: P.parse_instance(text)) <= 3.5  # was 4.08
+
     def test_parse_vectors(self, bench_gap):
         text = _files(bench_gap)[1]
         assert peak_traced_mb(lambda: P.parse_vectors(text)) <= 18  # was 37.9

@@ -97,6 +97,10 @@ class TestVectorFiles:
         with pytest.raises(StructuralError):
             P.parse_vectors("v 1 2\n1 0.5 0.5 0.5\n")
 
+    def test_dimension_numpy_cannot_hold_is_structural(self):
+        with pytest.raises(StructuralError, match="dimension 99999999999999999999"):
+            P.parse_vectors("v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n")
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(StructuralError, match="line 4: duplicate variable id 2"):
             P.parse_vectors("v 2 1\n1 1.0\n2 1.0\n2 -1.0\n")
@@ -235,6 +239,14 @@ class TestEvaluate:
             inst = NAEInstance(n, tuple(clauses))
             for row in rng.choice([-1, 1], size=(4, n)).astype(np.int8):
                 assert P.evaluate(inst, row) == array_loop_evaluate(inst, row)
+
+    def test_no_clauses_is_a_domain_error(self):
+        inst = P.parse_instance("p nae 1 0\n")
+        for call in (lambda: P.evaluate(inst, np.array([1])),
+                     lambda: P.evaluate_many(inst, np.array([[1], [-1]])),
+                     lambda: P.random_baseline(inst)):
+            with pytest.raises(DomainError, match="no clauses"):
+                call()
 
     def test_vectorized_matches_scalar(self, rng):
         clauses = []

@@ -7,6 +7,7 @@ readers must give what the line parsers give: the same arrays, or a
 StructuralError with the same text.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -155,6 +156,8 @@ def test_unmutated_files_read_the_same(base):
     "p nae 99999999999999999999 1\n1.0 2 1 10000000000000000000\n",  # beyond int64
     "p nae 9007199254740992 1\n1.0 2 1 9007199254740993\n",
     "p nae 3 99999999999999999999\n1.0 2 1 2\n",
+    *(f"p nae 3 1\n{weight} 2 1 2\n" for weight in ["1.e5", "+.5", "1e5.5"]),
+    *(f"p nae 3 1\n1.0 2 1 {lit}\n" for lit in ["1-2", "1..2", ".e1", "-+1", "2.", "1E2"]),
 ])
 def test_instance_edge_cases_read_the_same(text):
     assert_readers_agree("instance", text)
@@ -204,6 +207,22 @@ def test_instance_edge_cases_read_the_same(text):
 ])
 def test_vector_edge_cases_read_the_same(text):
     assert_readers_agree("vectors", text)
+
+
+def test_numpy_reads_a_token_whole_only_as_float_and_int_do():
+    # the bulk instance reader rests on this: a numpy release whose text
+    # reader takes a token float() or int() reads otherwise fails here by name
+    for size in range(1, 6):
+        for token in map("".join, itertools.product("01-+.eE", repeat=size)):
+            try:
+                values = np.fromstring(token, sep=" ")
+            except (ValueError, DeprecationWarning):
+                continue
+            if values.size != 1:
+                continue
+            assert float(token).hex() == values[0].hex(), token  # the sign of zero too
+            if not set(token) & set(".eE"):
+                assert int(token) == values[0], token
 
 
 class TestBulkPathCoverage:

@@ -97,10 +97,6 @@ class TestVectorFiles:
         with pytest.raises(StructuralError):
             P.parse_vectors("v 1 2\n1 0.5 0.5 0.5\n")
 
-    def test_dimension_numpy_cannot_hold_is_structural(self):
-        with pytest.raises(StructuralError, match="dimension 99999999999999999999"):
-            P.parse_vectors("v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n")
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(StructuralError, match="line 4: duplicate variable id 2"):
             P.parse_vectors("v 2 1\n1 1.0\n2 1.0\n2 -1.0\n")

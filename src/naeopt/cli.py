@@ -132,6 +132,15 @@ def _f_spec_dict(f: StepFunction) -> dict:
 # subcommands
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; bytes that do not decode are a StructuralError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise StructuralError(f"{path} is not text: {err}") from None
+
+
 def cmd_ratio(args) -> None:
     run = _Runner(args, f"naeopt_ratio_{args.problem}")
     res = fredholm.approx_ratio(args.problem, grid=args.grid, rounds=args.rounds,
@@ -198,11 +207,7 @@ def cmd_gap_gen(args) -> None:
 
 def cmd_gap_eval(args) -> None:
     run = _Runner(args, "naeopt_gap_eval")
-    with open(args.instance) as fh:
-        inst_text = fh.read()
-    with open(args.vectors) as fh:
-        vec_text = fh.read()
-    gap = gapgen.load_gap(inst_text, vec_text)
+    gap = gapgen.load_gap(_read_text(args.instance), _read_text(args.vectors))
     p1 = gapgen.P1_STAR if args.p1 is None else args.p1
     res = gapgen.evaluate_gap(gap, (p1, args.p2), trials=args.trials, seed=args.seed)
     run.write_json("_eval.json", {
@@ -243,7 +248,10 @@ def cmd_sweep(args) -> None:
     base = parse_f_spec(args.base)
     sizes = _clause_sizes(args.K)
     lo, hi, step = _sweep_range(args.range)
-    positions = np.arange(lo, hi + step / 2, step)
+    try:
+        positions = np.arange(lo, hi + step / 2, step)
+    except (ValueError, MemoryError):
+        raise DomainError(f"--range {args.range} has more positions than numpy can hold") from None
     rows = stepopt.breakpoint_sweep(base, positions, sizes)
     header = ["position"] + [f"p{k}" for k in sizes]
     run.write_csv("_sweep.csv", header,
@@ -262,10 +270,8 @@ def cmd_hermite_boundary(args) -> None:
 
 def cmd_round(args) -> None:
     run = _Runner(args, "naeopt_round")
-    with open(args.instance) as fh:
-        inst = pipeline.parse_instance(fh.read())
-    with open(args.vectors) as fh:
-        vectors = pipeline.parse_vectors(fh.read())
+    inst = pipeline.parse_instance(_read_text(args.instance))
+    vectors = pipeline.parse_vectors(_read_text(args.vectors))
     f = parse_f_spec(args.f)
     best, frac = pipeline.best_of_rounds(inst, vectors, f, args.rounds, args.seed)
     run.write_json("_round.json", {
@@ -302,7 +308,7 @@ def _clause_sizes(text: str) -> tuple[int, ...]:
 
 def _sweep_range(text: str) -> tuple[float, float, float]:
     lo, hi, step = (float(t) for t in text.split(":"))
-    if not (math.isfinite(lo + hi) and 0.0 < step < math.inf):
+    if not (math.isfinite(lo + hi) and lo <= hi and 0.0 < step < math.inf):
         raise ValueError(text)
     return lo, hi, step
 

@@ -375,8 +375,8 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
     odd f, its soundness, and the reduced kernel and lam of the system it
     solves (None and inf at the degenerate corners).
     """
-    if n % 2:
-        raise DomainError("the solver needs an even cell count")
+    if n < 2 or n % 2:
+        raise DomainError(f"the solver needs an even cell count of at least 2, got {n}")
     half = n // 2
     zero = (_soundness_from(_zero_f2, dist), 0)
     sign = (_soundness_from(lambda rho: _sign_f2(n, rho), dist), half)
@@ -535,6 +535,8 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
     """
     if grid < 2:
         raise DomainError("the coarse grid needs at least 2 points per axis")
+    if rounds < 0:
+        raise DomainError(f"rounds must be >= 0, got {rounds}")
     alphas = np.linspace(0.0, 1.0, grid)
     rhos = np.linspace(-1.0, 0.0, grid)
     pts = curve(problem, alphas, rhos, coarse_n, threads=threads)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,16 +65,8 @@ class SparseVec:
         if any(s not in (-1, 1) for s in self.signs):
             raise StructuralError("signs must be +-1")
 
-    @property
-    def positives(self) -> int:
-        return sum(1 for s in self.signs if s > 0)
-
     def negate(self) -> "SparseVec":
         return SparseVec(self.indices, tuple(-s for s in self.signs))
-
-    def canonical(self) -> tuple["SparseVec", int]:
-        """Representative with >= 2 positive signs, plus orientation +-1."""
-        return (self, 1) if self.positives >= 2 else (self.negate(), -1)
 
     def dot_numerator(self, other: "SparseVec") -> int:
         """3 * (self . other), an exact integer."""
@@ -126,13 +118,16 @@ def _orientation(positives: np.ndarray) -> np.ndarray:
     return np.where(positives >= 2, 1, -1)
 
 
-def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
-    """One draw of the k-vector sunflower distribution D_k."""
+def _sunflower_rows(rng: np.random.Generator, m: int, n: int, k: int):
+    """(indices, signs) rows of m draws of D_k, the k petals of a draw together."""
     if 2 * k + 1 > n:
         raise DomainError(f"D_{k} needs at least {2 * k + 1} coordinates, have {n}")
-    rng = np.random.default_rng(checked_seed(seed))
-    idx, s = _sample_tuples(rng, 1, n, 2 * k + 1)
-    return _sparse_vecs(*_vector_rows(idx, s, _petal_cols(k)))
+    return _vector_rows(*_sample_tuples(rng, m, n, 2 * k + 1), _petal_cols(k))
+
+
+def sunflower_sample(n: int, k: int, seed: int) -> tuple[SparseVec, ...]:
+    """One draw of the k-vector sunflower distribution D_k."""
+    return _sparse_vecs(*_sunflower_rows(np.random.default_rng(checked_seed(seed)), 1, n, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,23 +294,22 @@ def assignment_moments(rule, n: int, samples: int = 10**6,
                        seed: int = 0) -> tuple[MomentEstimate, MomentEstimate]:
     """(F2, F4) under sunflower sampling for a rounding rule.
 
-    ``rule`` is a (p1, p2) pair (vectorized fast path) or a callable
-    mapping a canonical SparseVec to +-1 (an explicit assignment; slower,
-    sampled at min(samples, 20000) tuples).
+    ``rule`` is a (p1, p2) pair or a callable taking the (m, 3) indices
+    and signs of m canonical representatives to one +-1 per row (an
+    explicit assignment, sampled at min(samples, 20000) tuples).
     """
     if samples < 2:
         raise DomainError("a moment estimate and its standard error need at least 2 samples")
-    seed = checked_seed(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     if callable(rule):
-        return _assignment_moments_callable(rule, n, min(samples, 20000), seed)
-    p1, p2 = _checked_rule(rule)
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in (2, 4):
-        if 2 * k + 1 > n:
-            raise DomainError(f"D_{k} needs n >= {2 * k + 1}")
-        out.append(_estimate(_sunflower_products(p1, p2, k, samples, rng)))
-    return out[0], out[1]
+        samples = min(samples, 20000)
+        products = partial(_rule_products, rule, n)
+    else:
+        products = partial(_sunflower_products, *_checked_rule(rule))
+    if n < 9:
+        raise DomainError(f"D_4 needs at least 9 coordinates, have {n}")
+    f2, f4 = (_estimate(products(k, samples, rng)) for k in (2, 4))
+    return f2, f4
 
 
 def _sunflower_products(p1: float, p2: float, k: int, samples: int,
@@ -361,23 +355,15 @@ def _estimate(prods: np.ndarray) -> MomentEstimate:
                           prods.size)
 
 
-def _assignment_moments_callable(rule, n: int, samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in (2, 4):
-        prods = np.empty(samples)
-        for t in range(samples):
-            vecs = sunflower_sample(n, k, int(rng.integers(0, 2**63)))
-            total = 1
-            for v in vecs:
-                rep, orient = v.canonical()
-                value = rule(rep)
-                if value not in (1, -1):
-                    raise DomainError(f"a callable rule must return +-1, got {value!r}")
-                total *= orient * int(value)
-            prods[t] = total
-        out.append(_estimate(prods))
-    return out[0], out[1]
+def _rule_products(rule, n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The +-1 product of the k petal values of each of ``samples`` draws of
+    D_k under an explicit rule, called once on every petal's canonical row."""
+    ind, sg = _sunflower_rows(rng, samples, n, k)
+    orient = _orientation((sg > 0).sum(axis=1))
+    values = np.asarray(rule(ind, sg * orient[:, None]))
+    if values.shape != orient.shape or not np.all((values == 1) | (values == -1)):
+        raise DomainError("a callable rule must return one +-1 per row")
+    return np.where(values == 1, orient, -orient).reshape(samples, k).prod(axis=1)
 
 
 # ---------------------------------------------------------------------------

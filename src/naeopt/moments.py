@@ -267,7 +267,7 @@ def sat_prob_symmetric(f: StepFunction, k: int, rho: float) -> float:
     """P[NAE_k satisfied] on the symmetric configuration with all biases rho.
 
     For k <= 3 only F_2 enters, and the exact two-dimensional route serves
-    every rho in [-1, 1].  For k >= 4 and rho > 0 evaluates
+    every rho in [-1, 1].  For 4 <= k < 1024 and rho > 0 evaluates
     1 - 2^-k int ((1+u)^k + (1-u)^k) phi with u = U_sqrt(rho) f: exactly at
     rho = 1 (a cell-mass sum) and to ~1e-15 below (see _symmetric_integral).
     """
@@ -282,6 +282,8 @@ def sat_prob_symmetric(f: StepFunction, k: int, rho: float) -> float:
         return (3.0 - 3.0 * f2(f, rho)) / 4.0
     if rho < 0.0:
         raise DomainError("rho < 0 with k >= 4 has no 1-d form; use moment_mc")
+    if k >= 1024:
+        raise DomainError(f"k = {k} >= 1024 overflows the symmetric integrand")
     integral = _symmetric_integral(f, rho, lambda u: (1.0 + u) ** k + (1.0 - u) ** k)
     return float(1.0 - 2.0 ** (-k) * integral)
 
@@ -294,8 +296,8 @@ def _mc_estimate(draw, samples: int, batch: int) -> MomentEstimate:
     """Mean and standard error of ``samples`` draws taken ``batch`` at a time;
     ``draw(m)`` makes m draws and returns their values, where a draw it
     leaves out counts as 0."""
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    if samples < 2:
+        raise DomainError("a moment estimate and its standard error need at least 2 samples")
     total = 0.0
     total_sq = 0.0
     done = determined = 0

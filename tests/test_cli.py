@@ -234,6 +234,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no clauses" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["round", "gap eval"])
+    @pytest.mark.parametrize("bad", ["i.nae", "v.txt"])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, command, bad):
+        (tmp_path / "i.nae").write_text("p nae 3 1\n1.0 3 1 2 3\n")
+        (tmp_path / "v.txt").write_text("v 3 6\n1 s 1:+1 2:+1 3:+1\n2 s 1:+1 2:+1 4:+1\n"
+                                        "3 s 1:+1 2:+1 5:+1\n")
+        (tmp_path / bad).write_bytes(b"\xff\xfe")
+        extra = ("--f", "sign", "--rounds", "2") if command == "round" else ("--trials", "2")
+        assert run(tmp_path, *command.split(), "--instance", "i.nae", "--vectors", "v.txt",
+                   *extra, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} is not text" in err and "Traceback" not in err
+        assert not (tmp_path / "x.manifest.json").exists()
+
     def test_dimension_numpy_cannot_hold_exits_2(self, tmp_path, capsys):
         (tmp_path / "i.nae").write_text("p nae 1 0\n")
         (tmp_path / "v.txt").write_text("v 1 99999999999999999999\n1 s 1:+1 2:+1 3:+1\n")
@@ -262,6 +276,13 @@ class TestExitCodes:
         ("sweep", "--base", '{"a": [1.0]}', "--K", "3,5", "--range", "3:4:0.5"),
         ("sweep", "--base", '{"a": "12", "b": [0, 1, 1]}', "--K", "3,5", "--range", "3:4:0.5"),
         ("sweep", "--base", "missing.json", "--K", "3,5", "--range", "3:4:0.5"),
+        ("curve", "--problem", "nae3", "--grid", "2", "--N", "-2"),
+        ("ratio", "--problem", "nae3", "--grid", "2", "--N", "-4"),
+        ("ratio", "--problem", "nae3", "--grid", "2", "--rounds", "-1"),
+        ("stepopt", "--K", "3,2000", "--steps", "2", "--pm1"),
+        ("stepopt", "--K", "99999999999", "--steps", "1"),
+        ("sweep", "--base", "sign", "--K", "3,5", "--range", "0.5:0.6:1e-300"),
+        ("witness", "f4neg", "--samples", "1"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
@@ -273,6 +294,7 @@ class TestExitCodes:
         ("sweep", "--base", "sign", "--K", "3,5", "--range", "1:2"),
         ("sweep", "--base", "sign", "--K", "3,5", "--range", "1:2:0"),
         ("sweep", "--base", "sign", "--K", "3,x", "--range", "3:4:0.5"),
+        ("sweep", "--base", "sign", "--K", "3,5", "--range", "1:0:0.1"),
     ])
     def test_malformed_flags_are_usage_errors(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 1

@@ -8,6 +8,7 @@ from naeopt.core import (
     Clause,
     GramConfig,
     GridFunction,
+    HardDistribution,
     NAEInstance,
     StepFunction,
     VectorAssignment,
@@ -183,6 +184,26 @@ class TestNAEInstance:
         for arr in (l3, w3, l2, w2):
             assert not arr.flags.writeable
         assert NAEInstance(2, ()).clause_groups == ()
+
+
+class TestHardDistribution:
+    @pytest.mark.parametrize("args", [
+        ("max2sat", 0.5, -0.5),
+        ("nae3", 1.5, -0.5),
+        ("maxcut", math.nan, -0.5),
+        ("nae3", 0.5, 0.1),
+        ("maxcut", 0.5, -1.5),
+        ("nae3", 0.5, -0.5, "unclamped"),
+    ])
+    def test_domain(self, args):
+        with pytest.raises(DomainError):
+            HardDistribution(*args)
+
+    def test_rho0_is_nae3_only(self):
+        assert HardDistribution("nae3", 0.5, -0.9).rho0 == -1.0 / 3.0
+        assert HardDistribution("nae3", 0.5, -0.9, "one").rho0 == 1.0
+        with pytest.raises(DomainError, match="nae3"):
+            HardDistribution("maxcut", 0.5, -0.9).rho0
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,11 @@ class TestOptimalStepFunction:
         with pytest.raises(DomainError):
             F.optimal_step_function(HARD_NAE3, 101)
 
+    @pytest.mark.parametrize("n", [0, -2, -4])
+    def test_cell_count_below_two_rejected(self, n):
+        with pytest.raises(DomainError, match="at least 2"):
+            F.optimal_step_function(HARD_NAE3, n)
+
     @pytest.mark.parametrize("dist", [
         HARD_NAE3,
         HardDistribution("maxcut", 0.8446, -0.6892),
@@ -482,6 +487,16 @@ class TestCurveAndRatio:
         serial = F.curve("nae3", a, r, 50, threads=1)
         parallel = F.curve("nae3", a, r, 50, threads=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("alphas, rhos", [([], [-0.5]), ([0.5], [])])
+    def test_empty_grid_rejected(self, alphas, rhos):
+        with pytest.raises(DomainError, match="non-empty"):
+            F.curve("nae3", alphas, rhos, 50)
+
+    def test_negative_rounds_rejected(self, monkeypatch):
+        monkeypatch.setattr(F, "curve", None)  # rejected before the coarse scan
+        with pytest.raises(DomainError, match="rounds"):
+            F.approx_ratio("nae3", grid=2, rounds=-1)
 
     def test_small_ratio_search_maxcut(self):
         res = F.approx_ratio("maxcut", grid=41, rounds=2, n=200, coarse_n=100)

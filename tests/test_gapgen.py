@@ -46,13 +46,6 @@ class TestSparseVec:
         with pytest.raises(StructuralError):
             G.SparseVec((0, 1, 2), (1, 2, 1))
 
-    def test_canonicalization(self):
-        v = G.SparseVec((0, 1, 2), (-1, -1, 1))
-        rep, orient = v.canonical()
-        assert orient == -1 and rep.signs == (1, 1, -1)
-        rep2, orient2 = rep.canonical()
-        assert rep2 == rep and orient2 == 1
-
     def test_unit_norm_and_dot(self):
         v = G.SparseVec((0, 3, 7), (1, -1, 1))
         w = G.SparseVec((0, 3, 9), (1, 1, 1))
@@ -92,11 +85,16 @@ class TestGeneration:
 
     def test_variables_are_canonical(self, small_gap):
         for v in small_gap.variables:
-            assert v.positives >= 2
+            assert sum(s > 0 for s in v.signs) >= 2
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             G.gen_gap_instance(11, 10, 10, seed=0)
+
+    @pytest.mark.parametrize("m3, m5", [(0, 5), (5, 0), (-1, 5)])
+    def test_needs_a_clause_of_each_size(self, m3, m5):
+        with pytest.raises(DomainError, match="one clause of each size"):
+            G.gen_gap_instance(12, m3, m5, seed=0)
 
     def test_n_beyond_the_variable_key_rejected(self):
         with pytest.raises(DomainError):
@@ -141,7 +139,7 @@ class TestGeneration:
 
     def test_arrays_match_the_objects(self, gap):
         variables = gap.variables
-        assert gap.positives.tolist() == [v.positives for v in variables]
+        assert gap.positives.tolist() == [sum(s > 0 for s in v.signs) for v in variables]
         dense = np.zeros((len(variables), gap.n))
         for row, v in zip(dense, variables):
             for i, s in zip(v.indices, v.signs):
@@ -287,7 +285,7 @@ class TestSunflower:
         calls = (lambda: G.sunflower_sample(30, 5, seed),
                  lambda: G.gen_gap_instance(12, 5, 5, seed),
                  lambda: G.assignment_moments((G.P1_STAR, 0), 48, 10, seed),
-                 lambda: G.assignment_moments(lambda v: 1, 48, 10, seed),
+                 lambda: G.assignment_moments(lambda i, s: np.ones(len(i)), 48, 10, seed),
                  lambda: G.evaluate_gap(small_gap, (G.P1_STAR, 0), 2, seed, 10))
         for call in calls:
             with pytest.raises(DomainError, match="seed"):
@@ -316,8 +314,8 @@ class TestAssignmentMoments:
             assert f2.value > -3 * f2.std_error
 
     def test_callable_rule_f4_dominates(self):
-        def parity(rep: G.SparseVec) -> int:
-            return rep.signs[0] * rep.signs[1] * rep.signs[2]
+        def parity(indices, signs):
+            return signs.prod(axis=1)
 
         for n in (24, 48, 96):
             f2, f4 = G.assignment_moments(parity, n, samples=4000, seed=8)
@@ -327,30 +325,66 @@ class TestAssignmentMoments:
     @pytest.mark.parametrize("value", [2, 0.5, 0, -1.5, math.nan, "1", None])
     def test_callable_rule_must_return_a_sign(self, value):
         # the first representative drawn rounds to value, the rest to +1
-        calls = []
-
-        def rule(rep: G.SparseVec):
-            calls.append(rep)
-            return value if len(calls) == 1 else 1
+        def rule(indices, signs):
+            values = np.ones(len(indices), object)
+            values[0] = value
+            return values
 
         with pytest.raises(DomainError):
             G.assignment_moments(rule, 24, samples=50)
 
+    @pytest.mark.parametrize("rule", [lambda i, s: 1, lambda i, s: s, lambda i, s: s[1:, 0]])
+    def test_callable_rule_must_return_one_value_per_row(self, rule):
+        with pytest.raises(DomainError):
+            G.assignment_moments(rule, 24, samples=50)
+
     def test_callable_rule_accepts_any_exact_sign(self):
-        def parity(rep: G.SparseVec) -> int:
-            return rep.signs[0] * rep.signs[1] * rep.signs[2]
+        def parity(indices, signs):
+            return signs.prod(axis=1)
 
         want = G.assignment_moments(parity, 24, samples=200, seed=3)
-        for cast in (float, np.int64, np.float64):
-            assert G.assignment_moments(lambda rep: cast(parity(rep)), 24, samples=200,
-                                        seed=3) == want
+        for dtype in (float, np.int8, np.float32, object):
+            assert G.assignment_moments(lambda i, s: parity(i, s).astype(dtype), 24,
+                                        samples=200, seed=3) == want
+
+    def test_callable_rule_matches_a_loop_over_draws(self):
+        # the one call per k against a per-draw, per-petal loop on the same
+        # draws: canonicalize each petal, round it, undo the orientation
+        calls = []
+
+        def rule(indices, signs):
+            calls.append(signs)
+            return signs.prod(axis=1) * np.where(indices[:, 0] % 2, 1, -1)
+
+        got = G.assignment_moments(rule, 30, samples=300, seed=4)
+        assert len(calls) == 2 and all(np.all((s > 0).sum(axis=1) >= 2) for s in calls)
+        rng = np.random.default_rng(4)
+        want = []
+        for k in (2, 4):
+            ind, sg = G._sunflower_rows(rng, 300, 30, k)
+            prods = []
+            for t in range(300):
+                total = 1
+                for i, s in zip(ind[t * k:(t + 1) * k].tolist(), sg[t * k:(t + 1) * k].tolist()):
+                    orient = 1 if sum(x > 0 for x in s) >= 2 else -1
+                    total *= orient * int(rule(np.array([i]), np.array([[orient * x for x in s]]))[0])
+                prods.append(total)
+            want.append(G._estimate(np.array(prods, float)))
+        assert got == tuple(want)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_too_few_coordinates_rejected(self, n):
+        with pytest.raises(DomainError, match="D_4"):
+            G.assignment_moments((0.3, 0.1), n, samples=10)
+        with pytest.raises(DomainError, match="D_4"):
+            G.assignment_moments(lambda i, s: np.ones(len(i)), n, samples=10)
 
     @pytest.mark.parametrize("samples", [-1, 0, 1])
     def test_too_few_samples_rejected(self, samples):
         with pytest.raises(DomainError):
             G.assignment_moments((0.3, 0.1), 48, samples=samples)
         with pytest.raises(DomainError):
-            G.assignment_moments(lambda rep: 1, 48, samples=samples)
+            G.assignment_moments(lambda i, s: np.ones(len(i)), 48, samples=samples)
 
 
 def _int64_assignment_moments(rule, n, samples, seed):

@@ -272,6 +272,11 @@ class TestF2lSymmetric:
         with pytest.raises(DomainError):
             M.f2l_symmetric(SIGN, 1.5, 2)
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_ell_below_one_rejected(self, ell):
+        with pytest.raises(DomainError, match="ell"):
+            M.f2l_symmetric(SIGN, 0.5, ell)
+
 
 class TestSatProbSymmetric:
     def test_random_assignment(self, rng):
@@ -311,6 +316,16 @@ class TestSatProbSymmetric:
         with pytest.raises(DomainError, match="moment_mc"):
             M.sat_prob_symmetric(SIGN, 5, -0.2)
 
+    @pytest.mark.parametrize("f", [SIGN, StepFunction((2.275193649,), (-1.0, 1.0))])
+    def test_largest_k_is_finite(self, f):
+        # (1 + u)^1023 <= 2^1023 stays finite with no overflow warning
+        # (warnings are errors here); from k = 1024 the integrand overflows
+        for rho in (1.0 - 4.0 / 1023, 1.0):
+            assert math.isfinite(M.sat_prob_symmetric(f, 1023, rho))
+        for k in (1024, 2000, 99999999999):
+            with pytest.raises(DomainError, match="1024"):
+                M.sat_prob_symmetric(f, k, 1.0 - 4.0 / k)
+
 
 class TestMomentMC:
     def test_pair_matches_analytic(self):
@@ -339,7 +354,7 @@ class TestMomentMC:
             M.moment_mc(SIGN, GramConfig([[1, 1, -1], [1, 1, 1], [-1, 1, 1]]),
                         samples=100, seed=0)
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 1])
     def test_needs_a_sample(self, samples):
         with pytest.raises(DomainError):
             M.moment_mc(SIGN, GramConfig(np.eye(2)), samples=samples)
@@ -410,7 +425,7 @@ class TestF4NegativeWitness:
         est = M.f4_negative_witness(0.1, 0.001, samples=1000, seed=0)
         assert (est.value, est.std_error, est.samples, est.determined) == (0.0, 0.0, 1000, 0)
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 1])
     def test_needs_a_sample(self, samples):
         with pytest.raises(DomainError):
             M.f4_negative_witness(0.1, 0.2, samples=samples)
@@ -507,16 +522,17 @@ class TestBitPins:
                        (-3e-06, 8.660241047453587e-07, 4000000, 12)]
 
     def test_moment_mc_estimates(self):
-        # sample counts on both sides of the 2^16-row chunk and of the 10^6
-        # summation batch; step values off +-1 make the float sums inexact
+        # the fewest samples an estimate takes, and counts on both sides of
+        # the 2^16-row chunk and of the 10^6 summation batch; step values
+        # off +-1 make the float sums inexact
         f = StepFunction((0.4, 1.3), (0.2, 0.7, 1.0))
         grams = ([[1.0, 0.3], [0.3, 1.0]],
                  [[1.0, 0.5, -0.2], [0.5, 1.0, 0.1], [-0.2, 0.1, 1.0]],
                  [[1.0, 0.4, 0.3, -0.1], [0.4, 1.0, 0.2, 0.25],
                   [0.3, 0.2, 1.0, 0.35], [-0.1, 0.25, 0.35, 1.0]])
-        counts = (1, (1 << 16) - 1, (1 << 16) + 1, 10**6, 10**6 + (1 << 16) + 3)
+        counts = (2, (1 << 16) - 1, (1 << 16) + 1, 10**6, 10**6 + (1 << 16) + 3)
         vals = [tuple(vars(M.moment_mc(f, GramConfig(g), samples=n, seed=seed)).values())
                 for seed, g in enumerate(grams, 21) for n in counts]
         vals.append(tuple(vars(M.f4_negative_witness(0.1, 0.5, samples=3 * 10**6 + 7,
                                                      seed=9)).values()))
-        assert _digest(vals) == "87771c5d962e827ff8eed4db76cc26ed464d6b2e6d67f225dd1ecf67b87960d9"
+        assert _digest(vals) == "974a043f1c66911c49f1555771f467854bbf298d40c38c929bba26bffe979dfa"

@@ -97,6 +97,16 @@ class TestVectorFiles:
         with pytest.raises(StructuralError):
             P.parse_vectors("v 1 2\n1 0.5 0.5 0.5\n")
 
+    @pytest.mark.parametrize("indices, signs", [
+        (np.array([[0, 1, 2]]), np.array([[1, 1, 1]])),            # one row for two vectors
+        (np.array([[0, 1], [2, 3]]), np.array([[1, 1], [1, 1]])),  # two indices per row
+        (np.array([[0, 1, 2], [3, 4, 5]]), np.array([[1, 1, 1]])),
+    ])
+    def test_sparse_rows_of_the_wrong_shape_rejected(self, indices, signs):
+        va = P.parse_vectors("v 2 6\n1 s 1:+1 3:-1 5:+1\n2 s 2:-1 4:-1 6:-1\n")
+        with pytest.raises(StructuralError, match="3 indices and 3 signs"):
+            P.format_vectors(va, (indices, signs))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(StructuralError, match="line 4: duplicate variable id 2"):
             P.parse_vectors("v 2 1\n1 1.0\n2 1.0\n2 -1.0\n")
@@ -274,6 +284,13 @@ class TestBaselinesAndRounds:
         vals = [P.best_of_rounds(inst, va, SIGN, r, seed=3)[1] for r in (1, 2, 5, 9)]
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_needs_a_round(self, rounds):
+        va = _symmetric_vectors(3, -1 / 3)
+        inst = NAEInstance(3, (Clause(1.0, (1, 2, 3)),))
+        with pytest.raises(DomainError, match="round"):
+            P.best_of_rounds(inst, va, SIGN, rounds, seed=0)
+
     def test_single_round_reduction(self):
         va = _symmetric_vectors(3, -1 / 3)
         inst = NAEInstance(3, (Clause(1.0, (1, 2, 3)),))
@@ -319,6 +336,12 @@ class TestPQ:
         p2, _ = P.pq_values(2, 0.5)
         assert abs(p2 - 0.5) < 1e-15
         assert abs(P.pq_values(3, 0.1)[1] - 0.512) < 1e-15
+
+    @pytest.mark.parametrize("k, delta", [(0, 0.1), (-2, 0.1), (3, -0.1), (3, 0.6),
+                                          (3, math.nan)])
+    def test_domain(self, k, delta):
+        with pytest.raises(DomainError):
+            P.pq_values(k, delta)
 
     @given(st.integers(1, 30), st.floats(0.0, 0.5))
     @settings(max_examples=100)

@@ -56,6 +56,11 @@ class TestOptimizeStep:
         r2 = S.optimize_step(cfg)
         assert r1.f == r2.f and r1.objective == r2.objective
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_needs_a_step(self, steps):
+        with pytest.raises(DomainError, match="step"):
+            S.StepSearchConfig((3, 5), steps=steps)
+
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_needs_a_restart(self, restarts):
         with pytest.raises(DomainError):

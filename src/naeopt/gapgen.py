@@ -357,7 +357,7 @@ def _estimate(prods: np.ndarray) -> MomentEstimate:
 
 def _rule_products(rule, n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """The +-1 product of the k petal values of each of ``samples`` draws of
-    D_k under an explicit rule, called once on every petal's canonical row."""
+    D_k under an explicit rule, called once on the canonical rows of all petals."""
     ind, sg = _sunflower_rows(rng, samples, n, k)
     orient = _orientation((sg > 0).sum(axis=1))
     values = np.asarray(rule(ind, sg * orient[:, None]))

@@ -333,7 +333,8 @@ class TestAssignmentMoments:
         with pytest.raises(DomainError):
             G.assignment_moments(rule, 24, samples=50)
 
-    @pytest.mark.parametrize("rule", [lambda i, s: 1, lambda i, s: s, lambda i, s: s[1:, 0]])
+    @pytest.mark.parametrize("rule", [lambda i, s: 1, lambda i, s: s, lambda i, s: s[1:, 0]],
+                             ids=["scalar", "three per row", "one row short"])
     def test_callable_rule_must_return_one_value_per_row(self, rule):
         with pytest.raises(DomainError):
             G.assignment_moments(rule, 24, samples=50)

@@ -1,10 +1,12 @@
 """Command-line entry points.
 
-Every subcommand writes its result files under an --out prefix together
-with a manifest (<prefix>.manifest.json) recording the full parameter
-set, seeds, tool version, output paths and wall-clock time, so a run can
-be reproduced bit-for-bit (deterministic paths) or within the reported
-standard errors (Monte Carlo paths).
+Every subcommand writes its result files under an --out prefix (by
+default one named after the subcommand).  Once it succeeds, main writes
+a manifest (<prefix>.manifest.json) recording the full parameter set,
+seeds, tool version, output paths and wall-clock time, so a run can be
+reproduced bit-for-bit (deterministic paths) or within the reported
+standard errors (Monte Carlo paths); a run that fails writes none.
+--threads (default $NAEOPT_THREADS, else 1) must be at least 1.
 
 Exit codes: 0 ok, 1 usage error, 2 numeric/domain failure.
 """
@@ -18,7 +20,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,20 +39,10 @@ def _sig9(x):
     return x
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    seed: int | None
-    version: str
-    outputs: list[str]
-    wall_clock_s: float
-
-
 class _Runner:
-    def __init__(self, args: argparse.Namespace, default_prefix: str):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.prefix = args.out or default_prefix
+        self.prefix = args.out or args.prefix.format_map(vars(args))
         self.outputs: list[str] = []
         self.t0 = time.time()
 
@@ -79,12 +70,14 @@ class _Runner:
         with open(self.path(suffix), "w") as fh:
             fh.write(text)
 
-    def finish(self, sub: str) -> None:
-        params = {k: v for k, v in vars(self.args).items() if k not in ("func", "out")}
-        manifest = RunManifest(sub, _sig9(params), getattr(self.args, "seed", None),
-                               __version__, list(self.outputs), time.time() - self.t0)
+    def finish(self) -> None:
+        params = {k: v for k, v in vars(self.args).items()
+                  if k not in ("func", "name", "prefix", "out")}
+        manifest = {"subcommand": self.args.name, "parameters": _sig9(params),
+                    "seed": getattr(self.args, "seed", None), "version": __version__,
+                    "outputs": self.outputs, "wall_clock_s": time.time() - self.t0}
         with open(f"{self.prefix}.manifest.json", "w") as fh:
-            json.dump(asdict(manifest), fh, indent=2)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
 
 
@@ -141,8 +134,7 @@ def _read_text(path: str) -> str:
         raise StructuralError(f"{path} is not text: {err}") from None
 
 
-def cmd_ratio(args) -> None:
-    run = _Runner(args, f"naeopt_ratio_{args.problem}")
+def cmd_ratio(run, args) -> None:
     res = fredholm.approx_ratio(args.problem, grid=args.grid, rounds=args.rounds,
                                 n=args.N, coarse_n=args.coarse_N, threads=args.threads)
     sol = fredholm.optimal_step_function(
@@ -156,14 +148,15 @@ def cmd_ratio(args) -> None:
         "clamp_index": sol.clamp_index,
     }
     run.write_json("_ratio.json", payload)
-    run.finish("ratio")
 
 
-def cmd_curve(args) -> None:
-    run = _Runner(args, f"naeopt_curve_{args.problem}")
+def cmd_curve(run, args) -> None:
     alphas = np.linspace(0.0, 1.0, args.grid)
     rhos = np.linspace(-1.0, 0.0, args.grid)
     pts = fredholm.curve(args.problem, alphas, rhos, args.N, threads=args.threads)
+    worst = min((p for p in pts if np.isfinite(p.ratio)), key=lambda p: p.ratio, default=None)
+    if worst is None:
+        raise DomainError("no grid point has positive completeness, so no ratio is finite")
     run.write_csv("_points.csv",
                   ["problem", "alpha", "rho", "rho0_variant", "completeness",
                    "soundness", "ratio"],
@@ -172,27 +165,21 @@ def cmd_curve(args) -> None:
                    for p in pts])
     env = fredholm.lower_envelope(pts)
     run.write_csv("_envelope.csv", ["completeness", "soundness"], env)
-    finite = [p for p in pts if np.isfinite(p.ratio)]
-    worst = min(finite, key=lambda p: p.ratio)
     run.write_json("_summary.json",
                    {"problem": args.problem, "grid": args.grid, "N": args.N,
                     "min_ratio": worst.ratio, "alpha": worst.alpha,
                     "rho": worst.rho, "rho0_variant": worst.rho0_variant})
-    run.finish("curve")
 
 
-def cmd_bound(args) -> None:
-    run = _Runner(args, "naeopt_bound_nae35")
+def cmd_bound(run, args) -> None:
     b = hardness.nae35_bound()
     run.write_json("_bound.json", {
         "bound": b.bound, "p_star": b.p_star, "f2_star": b.f2_star,
         "verification_residual": b.residual, "below_seven_eighths": b.bound < 7 / 8,
     })
-    run.finish("bound")
 
 
-def cmd_gap_gen(args) -> None:
-    run = _Runner(args, f"naeopt_gap_n{args.n}")
+def cmd_gap_gen(run, args) -> None:
     gap = gapgen.gen_gap_instance(args.n, args.m3, args.m5, args.seed)
     run.write_text("_instance.nae", pipeline.format_instance(
         gap.instance, comment=f"gap instance n={args.n} m3={args.m3} m5={args.m5} seed={args.seed}"))
@@ -202,11 +189,9 @@ def cmd_gap_gen(args) -> None:
         "n": args.n, "m3": args.m3, "m5": args.m5, "seed": args.seed,
         "variables": gap.instance.num_vars, "total_weight": gap.instance.total_weight,
     })
-    run.finish("gap gen")
 
 
-def cmd_gap_eval(args) -> None:
-    run = _Runner(args, "naeopt_gap_eval")
+def cmd_gap_eval(run, args) -> None:
     gap = gapgen.load_gap(_read_text(args.instance), _read_text(args.vectors))
     p1 = gapgen.P1_STAR if args.p1 is None else args.p1
     res = gapgen.evaluate_gap(gap, (p1, args.p2), trials=args.trials, seed=args.seed)
@@ -220,11 +205,9 @@ def cmd_gap_eval(args) -> None:
         "f4": res.f4.value, "f4_std_error": res.f4.std_error,
         "target_bound": hardness.BOUND,
     })
-    run.finish("gap eval")
 
 
-def cmd_stepopt(args) -> None:
-    run = _Runner(args, "naeopt_stepopt")
+def cmd_stepopt(run, args) -> None:
     sizes = _clause_sizes(args.K)
     cfg = stepopt.StepSearchConfig(sizes, steps=args.steps, pm_one=args.pm1,
                                    restarts=args.restarts, seed=args.seed)
@@ -240,11 +223,9 @@ def cmd_stepopt(args) -> None:
         "converged": res.converged,
         "note": "ratio is conjectured; hardest configuration assumed symmetric",
     })
-    run.finish("stepopt")
 
 
-def cmd_sweep(args) -> None:
-    run = _Runner(args, "naeopt_sweep")
+def cmd_sweep(run, args) -> None:
     base = parse_f_spec(args.base)
     sizes = _clause_sizes(args.K)
     lo, hi, step = _sweep_range(args.range)
@@ -256,20 +237,16 @@ def cmd_sweep(args) -> None:
     header = ["position"] + [f"p{k}" for k in sizes]
     run.write_csv("_sweep.csv", header,
                   [tuple([r["position"], *(r[k] for k in sizes)]) for r in rows])
-    run.finish("sweep")
 
 
-def cmd_hermite_boundary(args) -> None:
-    run = _Runner(args, "naeopt_hermite_p2")
+def cmd_hermite_boundary(run, args) -> None:
     pts = hermite.boundary_sweep(args.k, args.angles)
     header = ["angle"] + [f"c{2*i+1}" for i in range(args.k)]
     run.write_csv("_boundary.csv", header,
                   [tuple([theta, *c.tolist()]) for theta, c in pts])
-    run.finish("hermite boundary")
 
 
-def cmd_round(args) -> None:
-    run = _Runner(args, "naeopt_round")
+def cmd_round(run, args) -> None:
     inst = pipeline.parse_instance(_read_text(args.instance))
     vectors = pipeline.parse_vectors(_read_text(args.vectors))
     f = parse_f_spec(args.f)
@@ -278,11 +255,9 @@ def cmd_round(args) -> None:
         "fraction": frac, "baseline": pipeline.random_baseline(inst),
         "rounds": args.rounds, "seed": args.seed, "f_spec": _f_spec_dict(f),
     })
-    run.finish("round")
 
 
-def cmd_witness(args) -> None:
-    run = _Runner(args, "naeopt_witness_f4neg")
+def cmd_witness(run, args) -> None:
     v = moments.f4_witness_vectors(args.delta)
     gram = v @ v.T
     est = moments.f4_negative_witness(args.delta, args.eps, samples=args.samples, seed=args.seed)
@@ -295,7 +270,6 @@ def cmd_witness(args) -> None:
         "bias_first_row": gram[0, 1], "bias_petals": gram[1, 2],
         "negative_at_99": est.value + z99 * est.std_error < 0,
     })
-    run.finish("witness f4neg")
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +324,19 @@ def _build_parser() -> _Parser:
     sp.add_argument("--rounds", type=int, default=3)
     sp.add_argument("--coarse-N", type=int, default=fredholm.CURVE_N)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_ratio)
+    sp.set_defaults(func=cmd_ratio, name="ratio", prefix="naeopt_ratio_{problem}")
 
     sp = sub.add_parser("curve", help="completeness/soundness tradeoff curve")
     sp.add_argument("--problem", choices=("maxcut", "nae3"), required=True)
     sp.add_argument("--N", type=int, default=fredholm.CURVE_N)
     sp.add_argument("--grid", type=int, default=120)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_curve)
+    sp.set_defaults(func=cmd_curve, name="curve", prefix="naeopt_curve_{problem}")
 
     sp = sub.add_parser("bound", help="closed-form hardness bounds")
     sp.add_argument("target", choices=("nae35",))
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_bound)
+    sp.set_defaults(func=cmd_bound, name="bound", prefix="naeopt_bound_nae35")
 
     sp = sub.add_parser("gap", help="integrality-gap instances")
     gsub = sp.add_subparsers(dest="gap_sub", required=True)
@@ -372,7 +346,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--m5", type=int, default=10**5)
     g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gap_gen)
+    g.set_defaults(func=cmd_gap_gen, name="gap gen", prefix="naeopt_gap_n{n}")
     g = gsub.add_parser("eval")
     g.add_argument("--instance", required=True)
     g.add_argument("--vectors", required=True)
@@ -382,7 +356,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--trials", type=int, default=20)
     g.add_argument("--seed", type=seed, default=0)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gap_eval)
+    g.set_defaults(func=cmd_gap_eval, name="gap eval", prefix="naeopt_gap_eval")
 
     sp = sub.add_parser("stepopt", help="optimize step rounding functions")
     sp.add_argument("--K", required=True, type=_checked(_clause_sizes),
@@ -392,14 +366,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--restarts", type=int, default=64)
     sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_stepopt)
+    sp.set_defaults(func=cmd_stepopt, name="stepopt", prefix="naeopt_stepopt")
 
     sp = sub.add_parser("sweep", help="marginal value of an extra breakpoint")
     sp.add_argument("--base", required=True, help="rounding-function spec")
     sp.add_argument("--K", required=True, type=_checked(_clause_sizes))
     sp.add_argument("--range", required=True, type=_checked(_sweep_range), help="lo:hi:step")
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=cmd_sweep, name="sweep", prefix="naeopt_sweep")
 
     sp = sub.add_parser("hermite", help="Hermite coefficient geometry")
     hsub = sp.add_subparsers(dest="hermite_sub", required=True)
@@ -407,7 +381,8 @@ def _build_parser() -> _Parser:
     h.add_argument("--k", type=int, default=2)
     h.add_argument("--angles", type=int, default=720)
     h.add_argument("--out")
-    h.set_defaults(func=cmd_hermite_boundary)
+    h.set_defaults(func=cmd_hermite_boundary, name="hermite boundary",
+                   prefix="naeopt_hermite_p2")
 
     sp = sub.add_parser("round", help="RPR2-round an instance with vectors")
     sp.add_argument("--instance", required=True)
@@ -416,7 +391,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--rounds", type=int, default=100)
     sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_round)
+    sp.set_defaults(func=cmd_round, name="round", prefix="naeopt_round")
 
     sp = sub.add_parser("witness", help="moment counterexamples")
     sp.add_argument("target", choices=("f4neg",))
@@ -425,7 +400,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--samples", type=int, default=10**8)
     sp.add_argument("--seed", type=seed, default=0)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_witness)
+    sp.set_defaults(func=cmd_witness, name="witness f4neg", prefix="naeopt_witness_f4neg")
     return p
 
 
@@ -433,10 +408,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"--threads and NAEOPT_THREADS must be at least 1, got {args.threads}")
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        args.func(args)
+        args.func(run := _Runner(args), args)
+        run.finish()
     except (NaeoptError, OSError) as err:
         print(f"naeopt: {err}", file=sys.stderr)
         return 2

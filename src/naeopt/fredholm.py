@@ -60,6 +60,8 @@ are compared by true soundness.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -368,6 +370,11 @@ def _smallest_consistent_clamp(ok, half: int, hint: int | None) -> int:
     return hi
 
 
+def _check_cells(n) -> None:
+    if not isinstance(n, numbers.Integral) or n < 2 or n % 2:
+        raise DomainError(f"the solver needs an even cell count of at least 2, got {n!r}")
+
+
 def _search(dist: HardDistribution, n: int, hint: int | None = None):
     """The clamp search of optimal_step_function, without the result object.
 
@@ -375,8 +382,6 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
     odd f, its soundness, and the reduced kernel and lam of the system it
     solves (None and inf at the degenerate corners).
     """
-    if n < 2 or n % 2:
-        raise DomainError(f"the solver needs an even cell count of at least 2, got {n}")
     half = n // 2
     zero = (_soundness_from(_zero_f2, dist), 0)
     sign = (_soundness_from(lambda rho: _sign_f2(n, rho), dist), half)
@@ -423,6 +428,7 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
     clamps between i* and N/2 are left out: none scores above i*
     (``TestClampSearch``).
     """
+    _check_cells(n)
     i_a, f, s, R, lam = _search(dist, n, hint)
     return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
                             _interior_residual(f, R, lam, i_a, n), s, completeness(dist))
@@ -469,19 +475,24 @@ def curve(problem: str, alpha_grid, rho_grid, n: int = CURVE_N,
           threads: int = 1) -> list[CurvePoint]:
     """Solve every (alpha, rho, variant) grid point; raw tradeoff points.
 
-    rho slices are independent and can run in parallel worker processes;
-    results are merged in grid order either way.
+    rho slices are independent and run in up to ``threads`` worker
+    processes, at most one per slice and per CPU; results are merged in
+    grid order either way.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     rhos = np.asarray(rho_grid, dtype=float)
     if not alphas.size or not rhos.size:
         raise DomainError("grids must be non-empty")
+    _check_cells(n)
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise DomainError(f"threads must be an integer of at least 1, got {threads!r}")
     tasks = [(problem, float(r), alphas, n) for r in rhos]
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     pts: list[CurvePoint] = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             for chunk in ex.map(_scan_rho, tasks,
-                                chunksize=max(1, len(tasks) // (4 * threads))):
+                                chunksize=max(1, len(tasks) // (4 * workers))):
                 pts.extend(chunk)
     else:
         for t in tasks:
@@ -537,6 +548,8 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
         raise DomainError("the coarse grid needs at least 2 points per axis")
     if rounds < 0:
         raise DomainError(f"rounds must be >= 0, got {rounds}")
+    _check_cells(n)
+    _check_cells(coarse_n)
     alphas = np.linspace(0.0, 1.0, grid)
     rhos = np.linspace(-1.0, 0.0, grid)
     pts = curve(problem, alphas, rhos, coarse_n, threads=threads)

@@ -195,6 +195,56 @@ class TestWitnessCommand:
         assert not (tmp_path / "v_witness.json").exists()
 
 
+GAP_FILES = ("--instance", "g_instance.nae", "--vectors", "g_vectors.txt")
+
+
+MANIFEST_CASES = [
+    (("ratio", "--problem", "maxcut", "--grid", "3", "--N", "20", "--coarse-N", "10",
+      "--rounds", "0"), "ratio", "naeopt_ratio_maxcut",
+     ["_function.csv", "_ratio.json"], {"problem", "N", "grid", "rounds", "coarse_N"}),
+    (("curve", "--problem", "nae3", "--grid", "3", "--N", "10"), "curve",
+     "naeopt_curve_nae3", ["_points.csv", "_envelope.csv", "_summary.json"],
+     {"problem", "N", "grid"}),
+    (("bound", "nae35"), "bound", "naeopt_bound_nae35", ["_bound.json"], {"target"}),
+    (("gap", "gen", "--n", "12", "--m3", "5", "--m5", "5"), "gap gen", "naeopt_gap_n12",
+     ["_instance.nae", "_vectors.txt", "_gen.json"],
+     {"gap_sub", "n", "m3", "m5", "seed"}),
+    (("gap", "eval", *GAP_FILES, "--trials", "2"), "gap eval", "naeopt_gap_eval",
+     ["_eval.json"], {"gap_sub", "instance", "vectors", "p1", "p2", "trials", "seed"}),
+    (("stepopt", "--K", "3,5", "--restarts", "1"), "stepopt", "naeopt_stepopt",
+     ["_table.csv", "_result.json"], {"K", "steps", "pm1", "restarts", "seed"}),
+    (("sweep", "--base", "sign", "--K", "3,5", "--range", "3:4:0.5"), "sweep",
+     "naeopt_sweep", ["_sweep.csv"], {"base", "K", "range"}),
+    (("hermite", "boundary", "--angles", "4"), "hermite boundary", "naeopt_hermite_p2",
+     ["_boundary.csv"], {"hermite_sub", "k", "angles"}),
+    (("round", *GAP_FILES, "--f", "sign", "--rounds", "2"), "round", "naeopt_round",
+     ["_round.json"], {"instance", "vectors", "f", "rounds", "seed"}),
+    (("witness", "f4neg", "--samples", "10"), "witness f4neg", "naeopt_witness_f4neg",
+     ["_witness.json"], {"target", "delta", "eps", "samples", "seed"}),
+]
+
+
+class TestManifests:
+    """Each subcommand at a tiny size with no --out: its name, default
+    prefix, outputs and recorded parameters."""
+
+    @pytest.mark.parametrize("argv, name, prefix, suffixes, keys", MANIFEST_CASES,
+                             ids=[case[1] for case in MANIFEST_CASES])
+    def test_default_prefix_and_manifest(self, tmp_path, argv, name, prefix, suffixes, keys):
+        assert run(tmp_path, "gap", "gen", "--n", "12", "--m3", "5", "--m5", "5",
+                   "--out", "g") == 0
+        assert run(tmp_path, *argv) == 0
+        manifest = read_json(tmp_path / f"{prefix}.manifest.json")
+        assert list(manifest) == ["subcommand", "parameters", "seed", "version", "outputs",
+                                  "wall_clock_s"]
+        assert manifest["subcommand"] == name
+        assert manifest["outputs"] == [prefix + s for s in suffixes]
+        assert all((tmp_path / p).exists() for p in manifest["outputs"])
+        assert set(manifest["parameters"]) == keys | {"threads", "sub"}
+        assert manifest["parameters"]["sub"] == argv[0]
+        assert manifest["seed"] == manifest["parameters"].get("seed")
+
+
 class TestExitCodes:
     def test_usage_error(self, tmp_path):
         assert run(tmp_path, "bound", "unknown-target") == 1
@@ -264,6 +314,18 @@ class TestExitCodes:
         assert "invalid int value: 'x'" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, env", [(("--threads", "0"), None),
+                                           (("--threads", "-1"), None), ((), "0")],
+                             ids=["flag-0", "flag-minus-1", "env-0"])
+    def test_thread_count_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     flag, env):
+        if env is not None:
+            monkeypatch.setenv("NAEOPT_THREADS", env)
+        assert run(tmp_path, *flag, "bound", "nae35", "--out", str(tmp_path / "b")) == 1
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_ratio_grid_too_small(self, tmp_path, capsys):
         assert run(tmp_path, "ratio", "--problem", "maxcut", "--grid", "1",
                    "--out", str(tmp_path / "q")) == 2
@@ -283,6 +345,8 @@ class TestExitCodes:
         ("stepopt", "--K", "99999999999", "--steps", "1"),
         ("sweep", "--base", "sign", "--K", "3,5", "--range", "0.5:0.6:1e-300"),
         ("witness", "f4neg", "--samples", "1"),
+        ("ratio", "--problem", "nae3", "--grid", "150", "--N", "-4"),
+        ("curve", "--problem", "maxcut", "--grid", "1", "--N", "10"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2

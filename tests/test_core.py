@@ -168,6 +168,23 @@ class TestNAEInstance:
         with pytest.raises(StructuralError, match=f"literal {-2**63} out of range for 3 variables"):
             NAEInstance.from_groups(3, [(np.array([[1, 2], [1, -2**63]]), np.ones(2))], [0, 0])
 
+    @pytest.mark.parametrize("groups, clause_group, message", [
+        ([(np.array([[1.0, 2.0]]), [1.0])], [0], "literals must be integers"),
+        ([(np.array([[1, 2]]), [1.0, 1.0])], [0, 0], r"one \(literals, weight\) row per clause"),
+    ], ids=["float-literals", "more-weights-than-rows"])
+    def test_from_groups_rejects_malformed_arrays(self, groups, clause_group, message):
+        with pytest.raises(StructuralError, match=message):
+            NAEInstance.from_groups(3, groups, clause_group)
+
+    def test_equality_hash_and_repr(self):
+        inst = NAEInstance(3, (Clause(1.0, (1, -2, 3)), Clause(2.0, (2, 3))))
+        same = NAEInstance.from_groups(3, [(np.array([[1, -2, 3]]), [1.0]),
+                                           (np.array([[2, 3]]), [2.0])], [0, 1])
+        assert inst == same and hash(inst) == hash(same)
+        assert inst.__eq__(3) is NotImplemented and (inst == 3) is False
+        assert repr(inst) == ("NAEInstance(num_vars=3, clauses=(Clause(weight=1.0, "
+                              "literals=(1, -2, 3)), Clause(weight=2.0, literals=(2, 3))))")
+
     def test_total_weight_is_cached(self):
         inst = NAEInstance(3, (Clause(0.1, (1, 2)), Clause(0.2, (2, 3)), Clause(0.7, (1, 3))))
         first = inst.total_weight

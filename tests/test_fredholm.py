@@ -46,6 +46,11 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             F.KernelSpec(1.0, ((1.0, 1.0),))
 
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_weights_must_be_finite(self, weight):
+        with pytest.raises(DomainError, match="finite"):
+            F.KernelSpec(1.0, ((weight, -0.5),))
+
 
 class TestCompleteness:
     def test_examples(self):
@@ -234,7 +239,7 @@ class TestOptimalStepFunction:
         with pytest.raises(DomainError):
             F.optimal_step_function(HARD_NAE3, 101)
 
-    @pytest.mark.parametrize("n", [0, -2, -4])
+    @pytest.mark.parametrize("n", [0, -2, -4, 4.0])
     def test_cell_count_below_two_rejected(self, n):
         with pytest.raises(DomainError, match="at least 2"):
             F.optimal_step_function(HARD_NAE3, n)
@@ -488,15 +493,67 @@ class TestCurveAndRatio:
         parallel = F.curve("nae3", a, r, 50, threads=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads, slices, cpus", [
+        (8, 5, 3), (8, 2, 16), (2, 5, 16),
+        (4, 1, 16), (8, 5, 1), (8, 5, None),  # serial: no pool
+    ])
+    def test_pool_has_at_most_one_worker_per_slice_and_cpu(self, monkeypatch, threads,
+                                                           slices, cpus):
+        started = []
+
+        class SerialPool:  # records its size and maps in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        a, r = np.linspace(0.2, 0.9, 3), np.linspace(-0.9, -0.2, slices)
+        serial = F.curve("nae3", a, r, 20)
+        monkeypatch.setattr(F, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(F.os, "cpu_count", lambda: cpus)
+        assert F.curve("nae3", a, r, 20, threads=threads) == serial
+        workers = min(threads, slices, cpus or 1)
+        assert started == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    def test_bad_thread_count_rejected(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            F.curve("nae3", [0.5], [-0.5], 50, threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            F.approx_ratio("nae3", grid=2, threads=threads)
+
     @pytest.mark.parametrize("alphas, rhos", [([], [-0.5]), ([0.5], [])])
     def test_empty_grid_rejected(self, alphas, rhos):
         with pytest.raises(DomainError, match="non-empty"):
             F.curve("nae3", alphas, rhos, 50)
 
+    @pytest.mark.parametrize("n", [0, -2, 5, 6.0])
+    def test_curve_rejects_a_bad_cell_count(self, n):
+        with pytest.raises(DomainError, match="at least 2"):
+            F.curve("nae3", [0.5], [-0.5], n)
+
     def test_negative_rounds_rejected(self, monkeypatch):
         monkeypatch.setattr(F, "curve", None)  # rejected before the coarse scan
         with pytest.raises(DomainError, match="rounds"):
             F.approx_ratio("nae3", grid=2, rounds=-1)
+
+    @pytest.mark.parametrize("cells", [{"n": -4}, {"n": 7}, {"n": 600.0},
+                                       {"coarse_n": 0}, {"coarse_n": 99}, {"coarse_n": 100.0}],
+                             ids=lambda c: "=".join(map(str, *c.items())))
+    def test_bad_cell_count_rejected_before_the_scan(self, monkeypatch, cells):
+        monkeypatch.setattr(F, "curve", None)
+        with pytest.raises(DomainError, match="at least 2"):
+            F.approx_ratio("nae3", grid=2, **cells)
+
+    def test_ratio_at_zero_completeness_is_infinite(self):
+        assert F._ratio_at("maxcut", 0.0, -0.5, "clamped", 20) == math.inf
 
     def test_small_ratio_search_maxcut(self):
         res = F.approx_ratio("maxcut", grid=41, rounds=2, n=200, coarse_n=100)

@@ -140,7 +140,8 @@ class TestVectorFiles:
         _, _, (_, indices, _), _ = P.read_vector_rows(text)
         assert indices.tolist() == [[0, 1, 2**63 - 1]]
 
-    @pytest.mark.parametrize("text", ["v 0 2\n", "v 1 2\n1 nan 0.0\n"])
+    @pytest.mark.parametrize("text", ["v 0 2\n", "v 1 2\n1 nan 0.0\n",
+                                      "", "c no header\n"])  # the last two: missing 'v' header
     def test_degenerate_files_are_structural(self, text):
         with pytest.raises(StructuralError):
             P.parse_vectors(text)

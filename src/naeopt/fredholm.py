@@ -21,7 +21,11 @@ soundness is closed form, and the sign function's F_2(rho) depends on N
 and rho alone, so one cached value serves a whole rho-slice.  A singular
 system raises LinAlgError in np.linalg.solve and counts as inconsistent.
 Grid scans take the winner's index, soundness and completeness straight
-from the search and build no GridFunction per point.
+from the search and build no GridFunction per point.  approx_ratio, which
+keeps only the least ratio of its grid, searches few of the points:
+max(zero, sign) / completeness bounds a point's ratio from below with the
+very floats the search compares, so a point whose bound exceeds the
+running minimum can neither be the minimum nor tie it and is skipped.
 
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
@@ -65,6 +69,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -375,6 +380,23 @@ def _check_cells(n) -> None:
         raise DomainError(f"the solver needs an even cell count of at least 2, got {n!r}")
 
 
+def _check_threads(threads) -> None:
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise DomainError(f"threads must be an integer of at least 1, got {threads!r}")
+
+
+def _zero_and_sign(dist, n: int):
+    """(soundness, i_a) of the zero and the sign function, the candidates
+    _search scores in closed form.  ``dist`` may hold an array of alphas
+    (_slice_bounds), each of which then gets the bits of its own point."""
+    return ((_soundness_from(_zero_f2, dist), 0),
+            (_soundness_from(lambda rho: _sign_f2(n, rho), dist), n // 2))
+
+
+def _clamp_hint(i_a: int, n: int) -> int | None:
+    return i_a if 1 <= i_a < n // 2 else None
+
+
 def _search(dist: HardDistribution, n: int, hint: int | None = None):
     """The clamp search of optimal_step_function, without the result object.
 
@@ -383,8 +405,7 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
     solves (None and inf at the degenerate corners).
     """
     half = n // 2
-    zero = (_soundness_from(_zero_f2, dist), 0)
-    sign = (_soundness_from(lambda rho: _sign_f2(n, rho), dist), half)
+    zero, sign = _zero_and_sign(dist, n)
     spec = None
     if dist.rho > -1.0 and not (dist.problem == "maxcut" and dist.alpha == 0.0):
         spec = kernel_spec(dist)
@@ -465,7 +486,7 @@ def _scan_rho(args) -> list[CurvePoint]:
         for alpha in alphas:
             dist = HardDistribution(problem, alpha, rho, variant)
             i_a, _, s, _, _ = _search(dist, n, hint)
-            hint = i_a if 1 <= i_a < n // 2 else None
+            hint = _clamp_hint(i_a, n)
             pts.append(CurvePoint(problem, float(alpha), float(rho), variant,
                                   completeness(dist), s, True))
     return pts
@@ -484,8 +505,7 @@ def curve(problem: str, alpha_grid, rho_grid, n: int = CURVE_N,
     if not alphas.size or not rhos.size:
         raise DomainError("grids must be non-empty")
     _check_cells(n)
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise DomainError(f"threads must be an integer of at least 1, got {threads!r}")
+    _check_threads(threads)
     tasks = [(problem, float(r), alphas, n) for r in rhos]
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     pts: list[CurvePoint] = []
@@ -525,13 +545,76 @@ class RatioResult:
     n: int
 
 
-def _ratio_at(problem: str, alpha: float, rho: float, variant: str, n: int) -> float:
+def _slice_bounds(problem: str, alphas: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
+    """max(zero, sign) / completeness, a lower bound on the ratio, at every
+    grid point: one row per (rho, variant) slice in curve's order, one
+    column per alpha, inf where the ratio is inf."""
+    variants = _variants(problem)
+    out = np.empty((len(rhos) * len(variants), len(alphas)))
+    for k, (rho, variant) in enumerate((float(r), v) for r in rhos for v in variants):
+        d = HardDistribution(problem, 0.0, rho, variant)
+        view = SimpleNamespace(problem=problem, alpha=alphas, rho=rho, rho0_variant=variant,
+                               rho0=d.rho0 if problem == "nae3" else None)
+        (zero, _), (sign, _) = _zero_and_sign(view, n)
+        c = completeness(view)
+        out[k] = np.inf
+        np.divide(np.maximum(zero, sign), c, out=out[k], where=c > 1e-12)
+    return out
+
+
+def _pruned_scan(args):
+    """The least (ratio, slice, alpha index) of ``best`` and of the given
+    (slice, bounds row) pairs, searched in order.  A point whose bound
+    exceeds the running minimum is skipped, and so is every slice from the
+    first whose smallest bound does; a bound equal to it may tie."""
+    problem, alphas, rhos, n, slices, best = args
+    variants = _variants(problem)
+    for k, bounds in slices:
+        if bounds.min() > best[0]:
+            break
+        rho, variant = float(rhos[k // len(variants)]), variants[k % len(variants)]
+        hint = None
+        for i, bound in enumerate(bounds.tolist()):
+            if bound > best[0]:
+                continue
+            dist = HardDistribution(problem, alphas[i], rho, variant)
+            i_a, _, s, _, _ = _search(dist, n, hint)
+            hint = _clamp_hint(i_a, n)
+            c = completeness(dist)
+            best = min(best, (s / c if c > 1e-12 else math.inf, k, i))
+    return best
+
+
+def _coarse_minimum(problem: str, alphas: np.ndarray, rhos: np.ndarray, n: int,
+                    threads: int) -> tuple[float, int, int]:
+    """(ratio, slice, alpha index) of min(curve(...), key=ratio), the first
+    in curve's order on ties, visiting slices in ascending order of their
+    smallest bound.  With ``threads`` the first slice is scanned here and
+    the slices its minimum leaves are dealt to up to ``threads`` worker
+    processes, at most one per slice and per CPU, each with its own running
+    minimum."""
+    bounds = _slice_bounds(problem, alphas, rhos, n)
+    slices = [(int(k), bounds[k]) for k in np.argsort(bounds.min(axis=1), kind="stable")]
+    best = _pruned_scan((problem, alphas, rhos, n, slices[:1], (math.inf, math.inf, math.inf)))
+    rest = [sl for sl in slices[1:] if sl[1].min() <= best[0]]
+    workers = min(threads, len(rest), os.cpu_count() or 1)
+    if workers <= 1:
+        return _pruned_scan((problem, alphas, rhos, n, rest, best))
+    tasks = [(problem, alphas, rhos, n, rest[w::workers], best) for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return min(ex.map(_pruned_scan, tasks))
+
+
+def _ratio_at(problem: str, alpha: float, rho: float, variant: str, n: int,
+              hint: int | None = None) -> tuple[float, int | None]:
+    """Ratio at (alpha, rho), clamped into the domain, and the clamp hint
+    its search gives the next call."""
     alpha = min(max(alpha, 0.0), 1.0)
     rho = min(max(rho, -1.0), 0.0)
-    sol = optimal_step_function(HardDistribution(problem, alpha, rho, variant), n)
-    if sol.completeness <= 1e-9:
-        return math.inf
-    return sol.soundness / sol.completeness
+    dist = HardDistribution(problem, alpha, rho, variant)
+    i_a, _, s, _, _ = _search(dist, n, hint)
+    c = completeness(dist)
+    return (math.inf if c <= 1e-9 else s / c), _clamp_hint(i_a, n)
 
 
 def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
@@ -539,32 +622,47 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
                  threads: int = 1) -> RatioResult:
     """Worst-case soundness/completeness over the hard distributions.
 
-    Phase 1 scans a grid x grid lattice of (alpha, rho) for every variant
-    at the coarse cell count; phase 2 runs ``rounds`` alternating
-    golden-section passes per axis at the full cell count around the
-    coarse minimizer.
+    Phase 1 finds the point of least ratio on a grid x grid lattice of
+    (alpha, rho) for every variant at the coarse cell count, the first in
+    curve's order on ties, searching only the points whose bound
+    max(zero, sign) / completeness does not exceed the running minimum
+    (_coarse_minimum).  It keeps curve's bits: a skipped point's ratio is
+    at least its bound, so it can neither be the minimum nor tie it, and a
+    searched point gets the same i* whatever its hint, because consistency
+    is monotone in i_a (``TestClampSearch``).  Phase 2 runs ``rounds``
+    alternating golden-section passes per axis at the full cell count
+    around the coarse minimizer, each search hinted by the one before.
     """
-    if grid < 2:
-        raise DomainError("the coarse grid needs at least 2 points per axis")
-    if rounds < 0:
-        raise DomainError(f"rounds must be >= 0, got {rounds}")
+    if not isinstance(grid, numbers.Integral) or grid < 2:
+        raise DomainError(f"the coarse grid needs an integer of at least 2 points per axis, "
+                          f"got {grid!r}")
+    if not isinstance(rounds, numbers.Integral) or rounds < 0:
+        raise DomainError(f"rounds must be an integer >= 0, got {rounds!r}")
     _check_cells(n)
     _check_cells(coarse_n)
+    _check_threads(threads)
     alphas = np.linspace(0.0, 1.0, grid)
     rhos = np.linspace(-1.0, 0.0, grid)
-    pts = curve(problem, alphas, rhos, coarse_n, threads=threads)
-    best = min(pts, key=lambda p: p.ratio)
-    a_star, r_star, variant = best.alpha, best.rho, best.rho0_variant
+    _, k, i = _coarse_minimum(problem, alphas, rhos, coarse_n, threads)
+    variants = _variants(problem)
+    a_star, r_star = float(alphas[i]), float(rhos[k // len(variants)])
+    variant = variants[k % len(variants)]
+    hint = None
+
+    def ratio_at(a, r):
+        nonlocal hint
+        ratio, hint = _ratio_at(problem, a, r, variant, n, hint)
+        return ratio
 
     ha = hr = max(0.01, 2.0 / (grid - 1))
     for _ in range(rounds):
-        a_star = golden_section_min(lambda a: _ratio_at(problem, a, r_star, variant, n),
+        a_star = golden_section_min(lambda a: ratio_at(a, r_star),
                                     max(0.0, a_star - ha), min(1.0, a_star + ha), 18)
-        r_star = golden_section_min(lambda r: _ratio_at(problem, a_star, r, variant, n),
+        r_star = golden_section_min(lambda r: ratio_at(a_star, r),
                                     max(-1.0, r_star - hr), min(0.0, r_star + hr), 18)
         ha /= 3.0
         hr /= 3.0
-    ratio = _ratio_at(problem, a_star, r_star, variant, n)
+    ratio = ratio_at(a_star, r_star)
     return RatioResult(problem, float(ratio), float(a_star), float(r_star), variant, n)
 
 

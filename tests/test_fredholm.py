@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import peak_traced_mb
 from naeopt.core import GridFunction, HardDistribution, StepFunction, equal_mass_edges
 from naeopt.errors import DomainError
 from naeopt import fredholm as F
@@ -522,6 +523,45 @@ class TestCurveAndRatio:
         workers = min(threads, slices, cpus or 1)
         assert started == ([workers] if workers > 1 else [])
 
+    @pytest.mark.parametrize("problem, grid, rest, threads, cpus", [
+        ("nae3", 12, 8, 8, 3), ("nae3", 12, 8, 2, 16), ("nae3", 12, 8, 16, 16),
+        ("nae3", 12, 8, 4, 1), ("nae3", 12, 8, 8, None), ("nae3", 12, 8, 1, 16),  # no pool
+        ("maxcut", 9, 0, 8, 16),  # the first slice's minimum rules out every other slice
+    ])
+    def test_pruned_scan_pool_matches_serial(self, monkeypatch, problem, grid, rest,
+                                             threads, cpus):
+        # ``rest`` is the number of slices left after the first one is scanned
+        started, handed = [], []
+
+        class SerialPool:  # records its size and the slices of each task, maps in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                handed.extend(len(t[4]) for t in tasks)
+                return map(fn, tasks)
+
+        a, r = np.linspace(0.0, 1.0, grid), np.linspace(-1.0, 0.0, grid)
+        serial = F._coarse_minimum(problem, a, r, 20, 1)
+        monkeypatch.setattr(F, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(F.os, "cpu_count", lambda: cpus)
+        assert F._coarse_minimum(problem, a, r, 20, threads) == serial
+        workers = min(threads, rest, cpus or 1)
+        assert started == ([workers] if workers > 1 else [])
+        if workers > 1:
+            assert len(handed) == workers and min(handed) >= 1 and sum(handed) == rest
+
+    def test_parallel_ratio_matches_serial(self):
+        kw = dict(grid=12, rounds=1, n=40, coarse_n=20)
+        assert F.approx_ratio("nae3", threads=2, **kw) == F.approx_ratio("nae3", **kw)
+
     @pytest.mark.parametrize("threads", [0, -1, 1.5])
     def test_bad_thread_count_rejected(self, threads):
         with pytest.raises(DomainError, match="threads"):
@@ -540,20 +580,74 @@ class TestCurveAndRatio:
             F.curve("nae3", [0.5], [-0.5], n)
 
     def test_negative_rounds_rejected(self, monkeypatch):
-        monkeypatch.setattr(F, "curve", None)  # rejected before the coarse scan
+        monkeypatch.setattr(F, "_coarse_minimum", None)  # rejected before the coarse scan
+        monkeypatch.setattr(F, "_search", None)
         with pytest.raises(DomainError, match="rounds"):
             F.approx_ratio("nae3", grid=2, rounds=-1)
+
+    @pytest.mark.parametrize("kwargs, match", [({"grid": 2.5}, "grid"),
+                                               ({"grid": 2, "rounds": 0.5}, "rounds")],
+                             ids=["grid", "rounds"])
+    def test_non_integer_grid_or_rounds_rejected(self, monkeypatch, kwargs, match):
+        monkeypatch.setattr(F, "_coarse_minimum", None)
+        monkeypatch.setattr(F, "_search", None)
+        with pytest.raises(DomainError, match=match):
+            F.approx_ratio("maxcut", n=4, coarse_n=4, **kwargs)
 
     @pytest.mark.parametrize("cells", [{"n": -4}, {"n": 7}, {"n": 600.0},
                                        {"coarse_n": 0}, {"coarse_n": 99}, {"coarse_n": 100.0}],
                              ids=lambda c: "=".join(map(str, *c.items())))
     def test_bad_cell_count_rejected_before_the_scan(self, monkeypatch, cells):
-        monkeypatch.setattr(F, "curve", None)
+        monkeypatch.setattr(F, "_coarse_minimum", None)
+        monkeypatch.setattr(F, "_search", None)
         with pytest.raises(DomainError, match="at least 2"):
             F.approx_ratio("nae3", grid=2, **cells)
 
     def test_ratio_at_zero_completeness_is_infinite(self):
-        assert F._ratio_at("maxcut", 0.0, -0.5, "clamped", 20) == math.inf
+        assert F._ratio_at("maxcut", 0.0, -0.5, "clamped", 20)[0] == math.inf
+
+    @pytest.mark.parametrize("problem, variant", CASES)
+    def test_ratio_at_ignores_its_hint(self, problem, variant):
+        cold = F._ratio_at(problem, 0.7381, -0.742, variant, 100)
+        for hint in range(1, 51):
+            assert F._ratio_at(problem, 0.7381, -0.742, variant, 100, hint) == cold
+
+    @pytest.mark.parametrize("problem", ["maxcut", "nae3"])
+    @pytest.mark.parametrize("grid", [21, 60, 97])
+    def test_pruned_minimum_matches_curve(self, problem, grid):
+        a, r = np.linspace(0.0, 1.0, grid), np.linspace(-1.0, 0.0, grid)
+        pts = F.curve(problem, a, r, 100)
+        want = min(pts, key=lambda p: p.ratio)
+        ratio, k, i = F._coarse_minimum(problem, a, r, 100, 1)
+        # the same point, the first of its ratio in curve's order, with the same bits
+        assert pts.index(want) == k * grid + i
+        assert _bits(ratio) == _bits(want.ratio)
+        # every bound lies at or below its point's ratio
+        ratios = np.array([p.ratio for p in pts]).reshape(-1, grid)
+        assert np.all(F._slice_bounds(problem, a, r, 100) <= ratios)
+
+    def test_first_slice_visited_need_not_hold_the_minimum(self):
+        a, r = np.linspace(0.0, 1.0, 40), np.linspace(-1.0, 0.0, 40)
+        first = int(np.argmin(F._slice_bounds("nae3", a, r, 40).min(axis=1)))
+        ratio, k, i = F._coarse_minimum("nae3", a, r, 40, 1)
+        assert first != k
+        pts = F.curve("nae3", a, r, 40)
+        want = min(pts, key=lambda p: p.ratio)
+        assert pts.index(want) == k * 40 + i and _bits(ratio) == _bits(want.ratio)
+
+    @pytest.mark.parametrize("problem, grid, rounds, n, want", [
+        ("maxcut", 41, 2, 200, (0.8785672057848545, 0.9997709447468656, -0.6891578131139885)),
+        ("nae3", 21, 1, 400, (0.9089168523311153, 0.735071631265247, -0.742511897909317)),
+    ])
+    def test_ratio_pinned(self, problem, grid, rounds, n, want):
+        # the floats of the full coarse scan over curve with unhinted refinement searches
+        res = F.approx_ratio(problem, grid=grid, rounds=rounds, n=n, coarse_n=100)
+        assert (res.ratio, res.alpha, res.rho, res.rho0_variant) == want + ("clamped",)
+
+    def test_ratio_scan_memory(self):
+        # the scan keeps one float per point: a CurvePoint per point peaked at 6.68 MB here
+        assert peak_traced_mb(lambda: F.approx_ratio("nae3", grid=120, rounds=0, n=100,
+                                                     coarse_n=100)) <= 2.5
 
     def test_small_ratio_search_maxcut(self):
         res = F.approx_ratio("maxcut", grid=41, rounds=2, n=200, coarse_n=100)

@@ -393,16 +393,14 @@ def _zero_and_sign(dist, n: int):
             (_soundness_from(lambda rho: _sign_f2(n, rho), dist), n // 2))
 
 
-def _clamp_hint(i_a: int, n: int) -> int | None:
-    return i_a if 1 <= i_a < n // 2 else None
-
-
 def _search(dist: HardDistribution, n: int, hint: int | None = None):
     """The clamp search of optimal_step_function, without the result object.
 
-    Returns (i_a, f, soundness, R, lam): the winning clamp index, its full
-    odd f, its soundness, and the reduced kernel and lam of the system it
-    solves (None and inf at the degenerate corners).
+    Returns (i_a, f, soundness, R, lam, i*): the winning clamp index, its
+    full odd f, its soundness, the reduced kernel and lam of the system it
+    solves, and the smallest consistent clamp i*, which does not depend on
+    the hint and is the hint for the next search (None, inf and None at
+    the degenerate corners).
     """
     half = n // 2
     zero, sign = _zero_and_sign(dist, n)
@@ -411,7 +409,7 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
         spec = kernel_spec(dist)
     if spec is None or spec.lambda1 <= _TINY_LAMBDA1:
         # the degenerate corners: best of {sign, 0} by true soundness
-        return _best([sign, zero], {}, n) + (None, math.inf)
+        return _best([sign, zero], {}, n) + (None, math.inf, None)
 
     lam = 1.0 / spec.lambda1
     R = _combined_reduced(spec, n)
@@ -432,7 +430,7 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
     cands = [zero, sign]
     if i_star < half:
         cands.insert(1, (_soundness_values(found[i_star], dist, n), i_star))
-    return _best(cands, found, n) + (R, lam)
+    return _best(cands, found, n) + (R, lam, i_star)
 
 
 def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
@@ -450,7 +448,7 @@ def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
     (``TestClampSearch``).
     """
     _check_cells(n)
-    i_a, f, s, R, lam = _search(dist, n, hint)
+    i_a, f, s, R, lam, _ = _search(dist, n, hint)
     return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
                             _interior_residual(f, R, lam, i_a, n), s, completeness(dist))
 
@@ -485,8 +483,7 @@ def _scan_rho(args) -> list[CurvePoint]:
         hint = None
         for alpha in alphas:
             dist = HardDistribution(problem, alpha, rho, variant)
-            i_a, _, s, _, _ = _search(dist, n, hint)
-            hint = _clamp_hint(i_a, n)
+            _, _, s, _, _, hint = _search(dist, n, hint)
             pts.append(CurvePoint(problem, float(alpha), float(rho), variant,
                                   completeness(dist), s, True))
     return pts
@@ -578,8 +575,7 @@ def _pruned_scan(args):
             if bound > best[0]:
                 continue
             dist = HardDistribution(problem, alphas[i], rho, variant)
-            i_a, _, s, _, _ = _search(dist, n, hint)
-            hint = _clamp_hint(i_a, n)
+            _, _, s, _, _, hint = _search(dist, n, hint)
             c = completeness(dist)
             best = min(best, (s / c if c > 1e-12 else math.inf, k, i))
     return best
@@ -612,9 +608,9 @@ def _ratio_at(problem: str, alpha: float, rho: float, variant: str, n: int,
     alpha = min(max(alpha, 0.0), 1.0)
     rho = min(max(rho, -1.0), 0.0)
     dist = HardDistribution(problem, alpha, rho, variant)
-    i_a, _, s, _, _ = _search(dist, n, hint)
+    _, _, s, _, _, i_star = _search(dist, n, hint)
     c = completeness(dist)
-    return (math.inf if c <= 1e-9 else s / c), _clamp_hint(i_a, n)
+    return (math.inf if c <= 1e-9 else s / c), i_star
 
 
 def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,

@@ -398,7 +398,7 @@ def expected_fraction(gap: GapInstance, rule: tuple[float, float]) -> tuple[floa
     for lits, w in gap.instance.clause_groups:
         mu = mu_var[np.abs(lits) - 1] * np.sign(lits)
         e_sat = 1.0 - np.prod((1.0 + mu) / 2.0, axis=1) - np.prod((1.0 - mu) / 2.0, axis=1)
-        total += float(np.dot(w, e_sat))
+        total += float(np.einsum("i,i->", w, e_sat))  # BLAS dot rounds by thread count
         var_acc += float(np.sum(w * w * np.var(e_sat)))
     return total / gap.instance.total_weight, math.sqrt(var_acc) / gap.instance.total_weight
 

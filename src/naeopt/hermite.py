@@ -13,7 +13,10 @@ P_k is the convex body of attainable odd-coefficient tuples
 (c_1, c_3, ..., c_{2k-1}); its extreme points are sign functions of odd
 Hermite combinations, hence +-1 step functions with at most k positive
 breakpoints.  The noise operator acts diagonally: U_eta f has coefficients
-c_i eta^i.
+c_i eta^i.  extreme_point finds the breakpoints of a general direction by a
+root search; boundary_sweep's directions (cos t, sin t, 0, ...) give the
+cubic cos t H_1 + sin t H_3, whose one positive sign change has a closed
+form, so the sweep evaluates every angle at once with no root search.
 """
 
 from __future__ import annotations
@@ -167,14 +170,31 @@ def boundary_sweep(k: int, angles: int) -> list[tuple[float, np.ndarray]]:
     """P_k boundary for k = 2 style plots: directions on the unit circle.
 
     For k = 2 returns (theta, (c1, c3)) pairs; for larger k the direction
-    sweeps the first two coordinates with the rest zero.
+    sweeps the first two coordinates with the rest zero, and the pairs hold
+    (c1, c3, ..., c_{2k-1}).  The direction (cos t, sin t, 0, ...) is the
+    polynomial cos t H_1 + sin t H_3 = x (cos t - 3 sin t/sqrt 6 + x^2 sin t/sqrt 6),
+    so extreme_point's root search has a closed form: the one positive
+    sign change is at a = sqrt(3 - sqrt 6 cot t) where sin t != 0 and
+    a > 1e-12, with values (-sgn sin t, sgn sin t); with none, f is +-1
+    with the sign at the probe x = 1.  Each c_n is then
+    2 (v_0 B_{n-1}(0) + (v_1 - v_0) B_{n-1}(a)) / sqrt n with B_m = H_m phi,
+    one Hermite table for all angles.  extreme_point is the test oracle.
     """
     if k < 2 or angles < 1:
         raise DomainError(f"the sweep needs k >= 2 and angles >= 1, got {k} and {angles}")
-    out = []
-    for theta in np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False):
-        d = np.zeros(k)
-        d[0], d[1] = np.cos(theta), np.sin(theta)
-        _, c = extreme_point(d)
-        out.append((float(theta), c))
-    return out
+    theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
+    cos, sin = np.cos(theta), np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt(3.0 - math.sqrt(6.0) * cos / sin)
+    root = (sin != 0.0) & (a > 1e-12)  # NaN where a^2 < 0 fails the test
+    probe = np.sign(cos - 2.0 * sin / math.sqrt(6.0))  # H_1(1) = 1, H_3(1) = -2/sqrt 6
+    v0 = np.where(root, -np.sign(sin), probe)
+    jump = np.where(root, 2.0 * np.sign(sin), 0.0)
+    a = np.where(root, a, 0.0)
+    b0 = hermite_values(0.0, 2 * k - 2)[0::2] * gaussian_pdf(0.0)
+    # B_m(a) = H_m(a) phi(a) is 0 where phi(a) underflows, past a ~ 38.6 (a
+    # reaches 1.4e8 next to t = pi), even where H_m(a) would overflow
+    pdf = gaussian_pdf(a)
+    ba = hermite_values(np.where(pdf > 0.0, a, 0.0), 2 * k - 2)[:, 0::2] * pdf[:, None]
+    c = 2.0 * (v0[:, None] * b0 + jump[:, None] * ba) / np.sqrt(np.arange(1, 2 * k, 2))
+    return list(zip(theta.tolist(), c))

@@ -21,6 +21,7 @@ analytic route (general Gram matrices, 4-wise and higher).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -102,7 +103,9 @@ def rect_lattice(edges_x: np.ndarray, edges_y: np.ndarray, rho: float) -> np.nda
     those at +inf are Phi of the other edge.  When edges_x is edges_y,
     a_k[i,j] is the expression a_h[j,i], so one T matrix serves both terms.
     The absolute error grows as rho -> 1, to 9.5e-10 at rho = 1 - 1e-15;
-    f2l_symmetric is the accurate route there.
+    f2l_symmetric is the accurate route there.  Below |rho| = 1 this is
+    _lattice's edge setup followed by its per-rho evaluation; f2 keeps the
+    setup of each step function and runs only the evaluation.
     """
     if not abs(rho) <= _RHO_BOUND:
         raise DomainError("rho must lie in [-1, 1]")
@@ -110,29 +113,50 @@ def rect_lattice(edges_x: np.ndarray, edges_y: np.ndarray, rho: float) -> np.nda
         return np.array([[binormal_rect(rho, x_lo, x_hi, y_lo, y_hi)
                           for y_lo, y_hi in zip(edges_y[:-1], edges_y[1:])]
                          for x_lo, x_hi in zip(edges_x[:-1], edges_x[1:])])
+    return _lattice(edges_x, edges_y)(rho)
+
+
+def _lattice(edges_x: np.ndarray, edges_y: np.ndarray):
+    """rect_lattice in two parts.  This call does what depends on the edges
+    alone: where the finite block and its zeros lie, Phi of the
+    edges, (Phi(h)+Phi(k))/2, 1/2 [hk < 0], and the CDF table's rows and
+    columns at +-inf.  The function it returns does the rest for one
+    |rho| < 1: the Owen's-T matrix, the rows and columns at 0 (one T call
+    when edges_x is edges_y), the clip, the second difference and the clamp
+    at 0."""
     same = edges_x is edges_y
-    root = np.sqrt((1.0 - rho) * (1.0 + rho))
     xlo, xhi, xzero = _finite_span(edges_x)
     ylo, yhi, yzero = (xlo, xhi, xzero) if same else _finite_span(edges_y)
     h, k = edges_x[xlo:xhi], edges_y[ylo:yhi]
     nh = ndtr(h)
     nk = nh if same else ndtr(k)
     H, K = h[:, None], k[None, :]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        th = owens_t(H, (K - rho * H) / (H * root))
-        tk = th.T if same else owens_t(K, (H - rho * K) / (K * root))
-        fin = 0.5 * (nh[:, None] + nk) - th - tk - 0.5 * (H * K < 0.0)
-    fin[xzero] = 0.5 * nk - owens_t(k, -rho / root)
-    fin[:, yzero] = (0.5 * nh - owens_t(h, -rho / root))[:, None]
-    F = np.zeros((len(edges_x), len(edges_y)))
-    F[xlo:xhi, ylo:yhi] = fin
-    F[xhi:, ylo:yhi] = nk
-    F[xlo:xhi, yhi:] = nh[:, None]
-    F[xhi:, yhi:] = 1.0
-    np.clip(F, 0.0, 1.0, out=F)
-    M = F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
-    np.maximum(M, 0.0, out=M)
-    return M
+    half_sum = 0.5 * (nh[:, None] + nk)
+    half_neg = 0.5 * (H * K < 0.0)
+    half_nh = 0.5 * nh
+    half_nk = half_nh if same else 0.5 * nk
+    table = np.zeros((len(edges_x), len(edges_y)))  # Phi in [0, 1] needs no clip
+    table[xhi:, ylo:yhi] = nk
+    table[xlo:xhi, yhi:] = nh[:, None]
+    table[xhi:, yhi:] = 1.0
+
+    def masses(rho: float) -> np.ndarray:
+        root = np.sqrt((1.0 - rho) * (1.0 + rho))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            th = owens_t(H, (K - rho * H) / (H * root))
+            tk = th.T if same else owens_t(K, (H - rho * K) / (K * root))
+            fin = half_sum - th - tk - half_neg
+        a0 = -rho / root
+        col = half_nh - owens_t(h, a0)
+        fin[xzero] = col if same else half_nk - owens_t(k, a0)
+        fin[:, yzero] = col[:, None]
+        F = table.copy()
+        np.clip(fin, 0.0, 1.0, out=F[xlo:xhi, ylo:yhi])
+        M = F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
+        np.maximum(M, 0.0, out=M)
+        return M
+
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +199,30 @@ def f2(f: StepFunction, rho: float) -> float:
     """Noise stability E[f(X) f(Y)] for rho-correlated standard Gaussians.
 
     Computed as a signed double sum of exact rectangle probabilities over
-    the step cells; rho = +-1 short-circuits to +-int f^2 phi.
+    the step cells; rho = +-1 short-circuits to +-int f^2 phi.  The
+    lattice's edge setup is cached per breakpoint tuple (_step_lattice), so
+    a function read at many rho pays it once, with the bits of rect_lattice.
     """
     if not abs(rho) <= _RHO_BOUND:
         raise DomainError("rho must lie in [-1, 1]")
     if abs(rho) >= 1.0:
         total = _symmetric_integral(f, 1.0, np.square)
         return total if rho > 0 else -total
-    edges, vals = f.cells()
-    M = rect_lattice(edges, edges, rho)
+    M = _step_lattice(f.breakpoints)(rho)
+    vals = f.cells()[1]
     return float(vals @ M @ vals)
+
+
+# property checks and F_2 curves read one function at many rho in a row, and a
+# step search reads each new function at a few; a setup is a few small arrays
+@lru_cache(maxsize=256)
+def _step_lattice(breakpoints: tuple[float, ...]):
+    """The rho -> cell-pair masses function of _lattice for the cells of every
+    step function with these breakpoints.  The key is the breakpoints, not
+    the function: step functions whose values differ only in the sign of a
+    zero are equal, and f2 reads each function's own values."""
+    edges = StepFunction(breakpoints, (0.0,) * (len(breakpoints) + 1)).cells()[0]
+    return _lattice(edges, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +343,9 @@ def _mc_estimate(draw, samples: int, batch: int) -> MomentEstimate:
         m = min(batch, samples - done)
         x = draw(m)
         total += float(x.sum())
-        total_sq += float(np.dot(x, x))
+        # einsum, not np.dot: BLAS splits a long dot across its threads, which
+        # rounds differently with their count, and x * x would copy the batch
+        total_sq += float(np.einsum("i,i->", x, x))
         done += m
         determined += x.size
     mean = total / samples

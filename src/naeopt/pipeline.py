@@ -385,7 +385,8 @@ def evaluate_many(inst: NAEInstance, assignments: np.ndarray) -> np.ndarray:
     assignments = np.atleast_2d(np.asarray(assignments))
     sat = np.zeros(assignments.shape[0])
     for lits, w in inst.clause_groups:
-        sat += _not_all_equal(assignments, lits) @ w
+        # einsum, not @: a BLAS product rounds differently with its thread count
+        sat += np.einsum("ij,j->i", _not_all_equal(assignments, lits), w)
     return sat / _total_weight(inst)
 
 

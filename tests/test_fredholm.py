@@ -451,7 +451,7 @@ class TestSearchCandidates:
             lambda1 = F.kernel_spec(dist).lambda1
             assert 1.0 + 1.0 / lambda1 * -lambda1 == 0.0
             for hint in (None, 1, 10, half):
-                i_a, f, s, _, _ = F._search(dist, n, hint)  # warnings are errors here
+                i_a, f, s, *_ = F._search(dist, n, hint)  # warnings are errors here
                 assert i_a in (0, half)
                 assert np.array_equal(f, F._sign_values(n) if i_a else np.zeros(n))
                 assert s == F._soundness_values(f, dist, n)
@@ -643,6 +643,21 @@ class TestCurveAndRatio:
         # the floats of the full coarse scan over curve with unhinted refinement searches
         res = F.approx_ratio(problem, grid=grid, rounds=rounds, n=n, coarse_n=100)
         assert (res.ratio, res.alpha, res.rho, res.rho0_variant) == want + ("clamped",)
+
+    @pytest.mark.parametrize("problem, solves, want", [
+        ("maxcut", 120, (0.8785672058196663, 0.9999460361010359, -0.6891476369741747)),
+        ("nae3", 667, (0.9089168523311153, 0.735071631265247, -0.742511897909317)),
+    ])
+    def test_ratio_solve_count(self, monkeypatch, problem, solves, want):
+        # every search is hinted by the i* of the one before; when the hint
+        # was the winner's clamp, maxcut's refinement (won by the sign
+        # function) bisected from cold and took 387 solves in all
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+        res = F.approx_ratio(problem, grid=21, rounds=1, n=400)
+        assert (res.ratio, res.alpha, res.rho, res.rho0_variant) == want + ("clamped",)
+        assert len(calls) == solves
 
     def test_ratio_scan_memory(self):
         # the scan keeps one float per point: a CurvePoint per point peaked at 6.68 MB here

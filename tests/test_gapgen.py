@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +226,30 @@ class TestPinnedOutputs:
         res = G.evaluate_gap(loaded_gap, (G.P1_STAR, 0.0), trials=20, seed=13,
                              moment_samples=10**5)
         assert _sha(repr(res)) == \
-            "3adf1707edea5e0fd44f319f0267b572f2f893723af9a3739c5965fae0c6191a"
+            "ebd8383231c3b9934b91ac4ea2aa046fd384fd05699f0356509df05ae885f989"
+
+    def test_estimates_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a long dot product or matrix-vector product across
+        # its threads, and the split rounds differently: through np.dot, a
+        # 10^6-sample standard error and expected_fraction at 2*10^4 + 2*10^4
+        # clauses did, and through @, the measured fraction at 10^5 + 10^5
+        code = "\n".join([
+            "from naeopt import gapgen as G, moments as M",
+            "from naeopt.core import GramConfig, StepFunction",
+            "f = StepFunction((0.4, 1.3), (0.2, 0.7, 1.0))",
+            "gram = GramConfig([[1.0, 0.3], [0.3, 1.0]])",
+            "print(repr(M.moment_mc(f, gram, samples=10**6 + 5, seed=3)))",
+            "for m in (2 * 10**4, 10**5):",
+            "    gap = G.gen_gap_instance(48, m, m, 0)",
+            "    print(repr(G.evaluate_gap(gap, (G.P1_STAR, 0.0), trials=20, seed=0,",
+            "                              moment_samples=10**5)))"])
+        src = Path(__file__).resolve().parent.parent / "src"
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": str(src),
+                                                "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0].count("MomentEstimate(") == 5
+        assert outs[0] == outs[1]
 
     def test_assignment_moments(self):
         got = [G.assignment_moments(rule, 48, samples=10**5, seed=6)

@@ -214,6 +214,26 @@ class TestBoundarySweep:
         best = min(np.hypot(c[0] - cstar[0], c[1] - cstar[1]) for _, c in pts)
         assert best < 5e-3
 
+    @pytest.mark.parametrize("k, angles", [(2, 1024), (3, 256), (5, 64)])
+    def test_closed_form_matches_extreme_point(self, k, angles):
+        # angle by angle against the root search.  The angle counts are
+        # multiples of 4, so t = 0, pi/2 and pi are on the grid, and the arcs
+        # with cot t > 3/sqrt 6 (t in (0, 0.685) and (pi, pi + 0.685)) have no
+        # positive sign change
+        thetas = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
+        assert {0.0, np.pi / 2, np.pi} <= set(thetas.tolist())
+        pts = H.boundary_sweep(k, angles)
+        assert [t for t, _ in pts] == thetas.tolist()
+        rootless = 0
+        for t, c in pts:
+            d = np.zeros(k)
+            d[0], d[1] = np.cos(t), np.sin(t)
+            f, want = H.extreme_point(d)
+            rootless += not f.breakpoints
+            assert c.shape == (k,)
+            assert np.max(np.abs(c - want)) <= 1e-14
+        assert 0 < rootless < angles
+
     def test_needs_k_at_least_two(self):
         with pytest.raises(DomainError):
             H.boundary_sweep(1, 8)

@@ -224,6 +224,23 @@ class TestF2:
             pos = vals[grid >= -1e-12]
             assert np.all(np.diff(pos, 2) >= -1e-7)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 1.0 - 1e-7, -(1.0 - 1e-7)])
+    def test_cached_setup_matches_rect_lattice(self, rng, rho):
+        # f2 keeps rect_lattice's edge setup per breakpoint tuple; the whole
+        # lattice is the route it replaced.  The last two functions are equal
+        # as StepFunctions but differ in the sign of a zero: they share a
+        # setup, and each must give the bits of its own route
+        fs = [random_step_function(rng, max_breaks=5) for _ in range(60)]
+        fs += [StepFunction((0.7, 1.9), (0.0, 0.5, -1.0)),
+               StepFunction((0.7, 1.9), (-0.0, 0.5, -1.0))]
+        assert fs[-2] == fs[-1]
+        M._step_lattice.cache_clear()
+        for f in fs:
+            edges, vals = f.cells()
+            want = np.float64(vals @ M.rect_lattice(edges, edges, rho) @ vals).tobytes()
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                assert np.float64(M.f2(f, rho)).tobytes() == want
+
 
 class TestF2lSymmetric:
     def test_matches_f2(self, rng):
@@ -535,4 +552,4 @@ class TestBitPins:
                 for seed, g in enumerate(grams, 21) for n in counts]
         vals.append(tuple(vars(M.f4_negative_witness(0.1, 0.5, samples=3 * 10**6 + 7,
                                                      seed=9)).values()))
-        assert _digest(vals) == "974a043f1c66911c49f1555771f467854bbf298d40c38c929bba26bffe979dfa"
+        assert _digest(vals) == "56412f6cdf41cc9c0fc3bccddf7513c6e5ca824260ae35e4b031fdd0ada5f814"

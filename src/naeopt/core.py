@@ -114,10 +114,15 @@ class StepFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, np.abs(x), side="right")
+        a, b = self.arrays()
+        idx = np.searchsorted(a, np.abs(x), side="right")
         sgn = np.where(x < 0, -1.0, 1.0)
-        out = sgn * np.asarray(self.values)[idx]
+        out = sgn * b[idx]
         return float(out) if out.ndim == 0 else out
+
+    def arrays(self):
+        """Breakpoints and values as arrays, read-only and built on first use."""
+        return self._arrays
 
     def cells(self):
         """Full-line partition: edges (len 2l+3, with +-inf) and cell values,
@@ -125,14 +130,31 @@ class StepFunction:
         return self._cells
 
     @cached_property
+    def _arrays(self):
+        return _read_only(np.array(self.breakpoints, dtype=float),
+                          np.array(self.values, dtype=float))
+
+    @cached_property
     def _cells(self):
-        a = np.asarray(self.breakpoints)
-        b = np.asarray(self.values)
-        edges = np.concatenate([[-np.inf], -a[::-1], [0.0], a, [np.inf]])
-        vals = np.concatenate([-b[::-1], b])
-        edges.setflags(write=False)
-        vals.setflags(write=False)
-        return edges, vals
+        return _read_only(*step_cells(*self.arrays()))
+
+
+def step_cells(a: np.ndarray, b: np.ndarray):
+    """Full-line edges (..., 2l+3) and cell values (..., 2l+2) of the step
+    functions with breakpoints a (..., l) and values b (..., l+1), one
+    function per index of the leading axes."""
+    l = a.shape[-1]
+    edges = np.empty(a.shape[:-1] + (2 * l + 3,))
+    edges[..., 0], edges[..., l + 1], edges[..., -1] = -np.inf, 0.0, np.inf
+    edges[..., 1:l + 1] = -a[..., ::-1]
+    edges[..., l + 2:-1] = a
+    return edges, np.concatenate([-b[..., ::-1], b], axis=-1)
+
+
+def _read_only(*arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 SIGN = StepFunction((), (1.0,))

@@ -20,13 +20,16 @@ analytic route (general Gram matrices, 4-wise and higher).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .core import GramConfig, StepFunction, checked_seed, gaussian_pdf, validate_gram
+from .core import (GramConfig, StepFunction, checked_seed, gaussian_pdf, step_cells,
+                   validate_gram)
 from .errors import DomainError
 
 _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every tolerance
@@ -67,7 +70,8 @@ class MomentEstimate:
 
 def _finite_span(e: np.ndarray):
     """Bounds of the finite entries of ascending edges e, and the slice of
-    the zeros among them."""
+    the zeros among them; for a stack of edge rows, those of the first row."""
+    e = e[(0,) * (e.ndim - 1)]
     lo, zeros_end = np.searchsorted(e, (-np.inf, 0.0), "right")
     zeros_start, hi = np.searchsorted(e, (0.0, np.inf))
     return lo, hi, slice(zeros_start - lo, zeros_end - lo)
@@ -123,36 +127,45 @@ def _lattice(edges_x: np.ndarray, edges_y: np.ndarray):
     columns at +-inf.  The function it returns does the rest for one
     |rho| < 1: the Owen's-T matrix, the rows and columns at 0 (one T call
     when edges_x is edges_y), the clip, the second difference and the clamp
-    at 0."""
+    at 0.
+
+    The edges may carry leading stack axes, (..., n) and (..., m), with
+    their infinities and zeros in the same places in every row, as the cells
+    of step functions with one breakpoint count have; the masses are then
+    (..., n-1, m-1), one lattice per row, from one T call over the whole
+    stack.  Each entry is the same operation on the same operands as in a
+    lattice of its row alone, so every row keeps its bits."""
     same = edges_x is edges_y
     xlo, xhi, xzero = _finite_span(edges_x)
     ylo, yhi, yzero = (xlo, xhi, xzero) if same else _finite_span(edges_y)
-    h, k = edges_x[xlo:xhi], edges_y[ylo:yhi]
+    h, k = edges_x[..., xlo:xhi], edges_y[..., ylo:yhi]
     nh = ndtr(h)
     nk = nh if same else ndtr(k)
-    H, K = h[:, None], k[None, :]
-    half_sum = 0.5 * (nh[:, None] + nk)
+    H, K = h[..., :, None], k[..., None, :]
+    half_sum = 0.5 * (nh[..., :, None] + nk[..., None, :])
     half_neg = 0.5 * (H * K < 0.0)
     half_nh = 0.5 * nh
     half_nk = half_nh if same else 0.5 * nk
-    table = np.zeros((len(edges_x), len(edges_y)))  # Phi in [0, 1] needs no clip
-    table[xhi:, ylo:yhi] = nk
-    table[xlo:xhi, yhi:] = nh[:, None]
-    table[xhi:, yhi:] = 1.0
+    # Phi in [0, 1] needs no clip
+    table = np.zeros(edges_x.shape + edges_y.shape[-1:])
+    table[..., xhi:, ylo:yhi] = nk[..., None, :]
+    table[..., xlo:xhi, yhi:] = nh[..., :, None]
+    table[..., xhi:, yhi:] = 1.0
 
     def masses(rho: float) -> np.ndarray:
-        root = np.sqrt((1.0 - rho) * (1.0 + rho))
+        # math.sqrt rounds as np.sqrt does, without a ufunc call on a scalar
+        root = math.sqrt((1.0 - rho) * (1.0 + rho))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             th = owens_t(H, (K - rho * H) / (H * root))
-            tk = th.T if same else owens_t(K, (H - rho * K) / (K * root))
+            tk = th.swapaxes(-1, -2) if same else owens_t(K, (H - rho * K) / (K * root))
             fin = half_sum - th - tk - half_neg
         a0 = -rho / root
         col = half_nh - owens_t(h, a0)
-        fin[xzero] = col if same else half_nk - owens_t(k, a0)
-        fin[:, yzero] = col[:, None]
+        fin[..., xzero, :] = (col if same else half_nk - owens_t(k, a0))[..., None, :]
+        fin[..., :, yzero] = col[..., :, None]
         F = table.copy()
-        np.clip(fin, 0.0, 1.0, out=F[xlo:xhi, ylo:yhi])
-        M = F[1:, 1:] - F[:-1, 1:] - F[1:, :-1] + F[:-1, :-1]
+        np.clip(fin, 0.0, 1.0, out=F[..., xlo:xhi, ylo:yhi])
+        M = F[..., 1:, 1:] - F[..., :-1, 1:] - F[..., 1:, :-1] + F[..., :-1, :-1]
         np.maximum(M, 0.0, out=M)
         return M
 
@@ -176,22 +189,32 @@ def noise_operator(f: StepFunction, eta: float, x):
     if eta == 1.0:
         out = np.asarray(f(x))
     else:
-        out = _noise_sum(f, eta, np.sqrt((1.0 - eta) * (1.0 + eta)), x)
+        out = _noise_sum(*f.arrays(), eta, np.sqrt((1.0 - eta) * (1.0 + eta)), x)
     return float(out) if out.ndim == 0 else out
 
 
-def _noise_sum(f: StepFunction, eta: float, s: float, x: np.ndarray) -> np.ndarray:
-    """U_eta f at x given s = sqrt(1 - eta^2), for 0 <= eta < 1."""
+def _noise_sum(a: np.ndarray, b: np.ndarray, eta: float, s: float, x: np.ndarray) -> np.ndarray:
+    """U_eta f at x given s = sqrt(1 - eta^2), for 0 <= eta < 1, for every
+    step function f of a stack: breakpoints a (..., l) and values b
+    (..., l+1).  The result has the stack's leading axes followed by those
+    of x, and takes one ndtr call per edge term for the whole stack.
+
+    A term whose value is 0 in every row is skipped.  In a stack, a row's
+    zero value still adds its term, which is +-0: the total starts at +0.0
+    and so is never -0.0, and adding +-0 to it changes no bit."""
+    # breakpoint or value i of every row, as a column against x
+    lift = (...,) + (None,) * x.ndim
+    at, bt = np.moveaxis(a, -1, 0)[lift], np.moveaxis(b, -1, 0)[lift]
     ex = eta * x
     # Phi((t - eta x)/s) at t = a_i and t = -a_i, with a_0 = 0 and the last
     # a = inf, once per distinct edge
-    up = [ndtr((t - ex) / s) for t in (0.0, *f.breakpoints)] + [1.0]
-    down = up[:1] + [ndtr((-t - ex) / s) for t in f.breakpoints] + [0.0]
-    tot = np.zeros(x.shape)
-    for i, b in enumerate(f.values):
-        if b == 0.0:
+    up = [ndtr((t - ex) / s) for t in (0.0, *at)] + [1.0]
+    down = up[:1] + [ndtr((-t - ex) / s) for t in at] + [0.0]
+    tot = np.zeros(a.shape[:-1] + x.shape)
+    for i, bi in enumerate(bt):
+        if not bi.any():
             continue
-        tot += b * (up[i + 1] - up[i] - down[i] + down[i + 1])
+        tot += bi * (up[i + 1] - up[i] - down[i] + down[i + 1])
     return tot
 
 
@@ -203,14 +226,28 @@ def f2(f: StepFunction, rho: float) -> float:
     lattice's edge setup is cached per breakpoint tuple (_step_lattice), so
     a function read at many rho pays it once, with the bits of rect_lattice.
     """
-    if not abs(rho) <= _RHO_BOUND:
-        raise DomainError("rho must lie in [-1, 1]")
-    if abs(rho) >= 1.0:
-        total = _symmetric_integral(f, 1.0, np.square)
-        return total if rho > 0 else -total
+    if not abs(rho) < 1.0:  # +-1, or outside [-1, 1], which _f2_stack rejects
+        return float(_f2_stack(*f.arrays(), rho))
     M = _step_lattice(f.breakpoints)(rho)
     vals = f.cells()[1]
     return float(vals @ M @ vals)
+
+
+def _f2_stack(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """F_2 at rho of every step function of a stack (breakpoints a (..., l),
+    values b (..., l+1)): one _lattice for the whole stack, then each row's
+    vals @ M @ vals on its own, which keeps f2's bits."""
+    if not abs(rho) <= _RHO_BOUND:
+        raise DomainError("rho must lie in [-1, 1]")
+    if abs(rho) >= 1.0:
+        total = _symmetric_integral(a, b, 1.0, np.square)
+        return total if rho > 0 else -total
+    edges, vals = step_cells(a, b)
+    M = _lattice(edges, edges)(rho)
+    out = np.empty(a.shape[:-1])
+    for i in np.ndindex(out.shape):
+        out[i] = vals[i] @ M[i] @ vals[i]
+    return out
 
 
 # property checks and F_2 curves read one function at many rho in a row, and a
@@ -221,7 +258,8 @@ def _step_lattice(breakpoints: tuple[float, ...]):
     step function with these breakpoints.  The key is the breakpoints, not
     the function: step functions whose values differ only in the sign of a
     zero are equal, and f2 reads each function's own values."""
-    edges = StepFunction(breakpoints, (0.0,) * (len(breakpoints) + 1)).cells()[0]
+    a = np.array(breakpoints, dtype=float)
+    edges = step_cells(a, np.zeros(len(a) + 1))[0]
     return _lattice(edges, edges)
 
 
@@ -253,34 +291,46 @@ _RESOLVED_WIDTH = (_QEDGES[1] - _QEDGES[0]) / 10.0
 _TRANSITION_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 
 
-def _symmetric_integral(f: StepFunction, rho: float, g) -> float:
-    """int g(U_sqrt(rho) f) phi dx for 0 < rho <= 1 and an even function g.
+def _symmetric_integral(a: np.ndarray, b: np.ndarray, rho: float, g) -> np.ndarray:
+    """int g(U_sqrt(rho) f) phi dx for 0 < rho <= 1 and an even function g,
+    for every step function f of a stack: breakpoints a (..., l) and values
+    b (..., l+1), one result per row.
 
     At rho = 1, U_1 f = f is piecewise constant and the integral is the
-    exact cell-mass sum.  Below rho ~ 0.993 the fixed panels _QX serve;
-    closer to 1 the panels are split at the transitions of U f.  Measured
-    for g(u) = u^2 on random step functions, the result is within 1e-15 of
+    exact cell-mass sum.  Below rho ~ 0.993 the fixed panels _QX serve:
+    the stack is one (..., 960) noise sum, and each row's weighted sum
+    reduces its own 960 contiguous values, with the bits of a stack of one.
+    Closer to 1 the panels are split at the transitions of U f, which
+    differ by function, so that branch runs row by row.  Measured for
+    g(u) = u^2 on random step functions, the result is within 1e-15 of
     adaptive quadrature at every rho tried from 0.99 to 1 - 1e-15, and
     within 2e-14 of the Owen's-T route f2 at rho = 0.995, 0.999, 0.9999.
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError("rho must lie in (0, 1]")
+    out = np.empty(a.shape[:-1])
     if rho == 1.0:
-        edges, vals = f.cells()
-        return float(np.dot(np.diff(ndtr(edges)), g(vals)))
+        edges, vals = step_cells(a, b)
+        mass, gv = np.diff(ndtr(edges), axis=-1), g(vals)
+        for i in np.ndindex(out.shape):
+            out[i] = np.dot(mass[i], gv[i])
+        return out
     eta = float(np.sqrt(rho))
     s = float(np.sqrt(1.0 - rho))
     if s / eta >= _RESOLVED_WIDTH:
-        u = noise_operator(f, eta, _QX)
-        return float(np.sum(_QW * _QPHI * g(u)))
-    # U f steps at 0 (f is odd) and at every +-a_i.  s comes from 1 - rho,
-    # which is exact; 1 - eta^2 is off by up to 10% at rho = 1 - 1e-15
-    centers = np.concatenate([[0.0], f.breakpoints]) / eta
-    splits = (centers[:, None] + (s / eta) * _TRANSITION_OFFSETS[None, :]).ravel()
-    edges = np.unique(np.concatenate([_QEDGES, splits, -splits]))
-    xs, ws = _panel_grid(edges[np.abs(edges) <= _TAIL])
-    u = _noise_sum(f, eta, s, xs)
-    return float(np.sum(ws * gaussian_pdf(xs) * g(u)))
+        # noise_operator's s, which the fixed panels have always used
+        u = _noise_sum(a, b, eta, np.sqrt((1.0 - eta) * (1.0 + eta)), _QX)
+        return np.sum(_QW * _QPHI * g(u), axis=-1)
+    for i in np.ndindex(out.shape):
+        # U f steps at 0 (f is odd) and at every +-a_i.  s comes from 1 - rho,
+        # which is exact; 1 - eta^2 is off by up to 10% at rho = 1 - 1e-15
+        centers = np.concatenate([[0.0], a[i]]) / eta
+        splits = (centers[:, None] + (s / eta) * _TRANSITION_OFFSETS[None, :]).ravel()
+        edges = np.unique(np.concatenate([_QEDGES, splits, -splits]))
+        xs, ws = _panel_grid(edges[np.abs(edges) <= _TAIL])
+        u = _noise_sum(a[i], b[i], eta, s, xs)
+        out[i] = np.sum(ws * gaussian_pdf(xs) * g(u))
+    return out
 
 
 def f2l_symmetric(f: StepFunction, rho: float, ell: int) -> float:
@@ -298,7 +348,7 @@ def f2l_symmetric(f: StepFunction, rho: float, ell: int) -> float:
         raise DomainError("ell must be a positive integer")
     if rho == 0.0:
         return 0.0
-    return _symmetric_integral(f, rho, lambda u: u ** (2 * ell))
+    return float(_symmetric_integral(*f.arrays(), rho, lambda u: u ** (2 * ell)))
 
 
 def sat_prob_symmetric(f: StepFunction, k: int, rho: float) -> float:
@@ -309,21 +359,39 @@ def sat_prob_symmetric(f: StepFunction, k: int, rho: float) -> float:
     1 - 2^-k int ((1+u)^k + (1-u)^k) phi with u = U_sqrt(rho) f: exactly at
     rho = 1 (a cell-mass sum) and to ~1e-15 below (see _symmetric_integral).
     """
-    if k < 2:
-        raise DomainError("NAE clauses need k >= 2")
+    return float(_sat_probs(*f.arrays(), k, rho))
+
+
+def sat_probs_symmetric(fs, k: int, rho: float) -> np.ndarray:
+    """sat_prob_symmetric(f, k, rho) for every f of the nonempty sequence
+    ``fs``, whose functions share one breakpoint count.  The F_2 lattice
+    (k <= 3) or the fixed-panel quadrature runs once for the whole stack,
+    and each entry has the bits of the single call."""
+    counts = {len(f.breakpoints) for f in fs}
+    if len(counts) != 1:
+        raise DomainError("need a nonempty stack of step functions with one breakpoint count")
+    return _sat_probs(np.array([f.breakpoints for f in fs], dtype=float),
+                      np.array([f.values for f in fs], dtype=float), k, rho)
+
+
+def _sat_probs(a: np.ndarray, b: np.ndarray, k: int, rho: float) -> np.ndarray:
+    """sat_prob_symmetric of every step function of a stack (breakpoints a
+    (..., l), values b (..., l+1))."""
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise DomainError(f"NAE clauses need an integer k >= 2, got {k!r}")
     if rho == 0.0:
         # independent projections: every F_i (i >= 1) of an odd f vanishes
-        return 1.0 - 2.0 ** (1 - k)
+        return np.full(a.shape[:-1], 1.0 - 2.0 ** (1 - k))
     if k == 2:
-        return (1.0 - f2(f, rho)) / 2.0
+        return (1.0 - _f2_stack(a, b, rho)) / 2.0
     if k == 3:
-        return (3.0 - 3.0 * f2(f, rho)) / 4.0
+        return (3.0 - 3.0 * _f2_stack(a, b, rho)) / 4.0
     if rho < 0.0:
         raise DomainError("rho < 0 with k >= 4 has no 1-d form; use moment_mc")
     if k >= 1024:
         raise DomainError(f"k = {k} >= 1024 overflows the symmetric integrand")
-    integral = _symmetric_integral(f, rho, lambda u: (1.0 + u) ** k + (1.0 - u) ** k)
-    return float(1.0 - 2.0 ** (-k) * integral)
+    integral = _symmetric_integral(a, b, rho, lambda u: (1.0 + u) ** k + (1.0 - u) ** k)
+    return 1.0 - 2.0 ** (-k) * integral
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +450,12 @@ def moment_mc(f: StepFunction, gram: GramConfig, samples: int = 10**6,
         out = np.empty(m)
         for lo in range(0, m, _MOMENT_CHUNK):
             c = min(_MOMENT_CHUNK, m - lo)
-            out[lo:lo + c] = np.prod(f(rng.standard_normal((c, k)) @ L.T), axis=1)
+            vals = f(rng.standard_normal((c, k)) @ L.T)
+            prod = out[lo:lo + c]
+            prod[:] = vals[:, 0]
+            for j in range(1, k):  # left to right, as np.prod multiplies
+                prod *= vals[:, j]
+            del vals  # freed before the next chunk is drawn
         return out
 
     return _mc_estimate(draw, samples, _MOMENT_MC_BATCH)
@@ -434,7 +507,8 @@ def f4_negative_witness(delta: float, eps: float, samples: int = 10**8,
         first = np.abs(z[:, 0])
         t = z[(first >= eps) & (first < 1.5 * eps)] @ v.T
         a = np.abs(t)
-        det = ((a >= eps) & (a < 1.5 * eps)).all(axis=1)
-        return np.prod(np.sign(t[det]), axis=1)
+        inside = (a >= eps) & (a < 1.5 * eps)
+        sgn = np.sign(t[inside[:, 0] & inside[:, 1] & inside[:, 2] & inside[:, 3]])
+        return sgn[:, 0] * sgn[:, 1] * sgn[:, 2] * sgn[:, 3]
 
     return _mc_estimate(draw, samples, _WITNESS_BATCH)

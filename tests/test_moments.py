@@ -333,6 +333,14 @@ class TestSatProbSymmetric:
         with pytest.raises(DomainError, match="moment_mc"):
             M.sat_prob_symmetric(SIGN, 5, -0.2)
 
+    @pytest.mark.parametrize("k", [5.7, 5.0, 3.0, math.nan, "5"])
+    def test_clause_size_must_be_an_integer(self, k):
+        # 5.7 was evaluated as a clause of 5.7 literals
+        with pytest.raises(DomainError, match="integer"):
+            M.sat_prob_symmetric(SIGN, k, 0.2)
+        with pytest.raises(DomainError, match="integer"):
+            M.sat_probs_symmetric([SIGN], k, 0.2)
+
     @pytest.mark.parametrize("f", [SIGN, StepFunction((2.275193649,), (-1.0, 1.0))])
     def test_largest_k_is_finite(self, f):
         # (1 + u)^1023 <= 2^1023 stays finite with no overflow warning
@@ -342,6 +350,70 @@ class TestSatProbSymmetric:
         for k in (1024, 2000, 99999999999):
             with pytest.raises(DomainError, match="1024"):
                 M.sat_prob_symmetric(f, k, 1.0 - 4.0 / k)
+
+
+def _stack(rng, l: int, size: int) -> list[StepFunction]:
+    """``size`` random step functions with l breakpoints each; about a
+    quarter of the values are zeros of either sign."""
+    fs = []
+    for _ in range(size):
+        a = np.cumsum(rng.uniform(0.05, 1.2, size=l))
+        b = rng.uniform(-1.0, 1.0, size=l + 1)
+        zero = rng.random(l + 1) < 0.25
+        b[zero] = np.where(rng.random(l + 1) < 0.5, 0.0, -0.0)[zero]
+        fs.append(StepFunction(tuple(a), tuple(b)))
+    return fs
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestStacks:
+    """The stacked F_2 lattice and noise sum give every function the bits
+    of its own call."""
+
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+    def test_f2_stack_matches_f2(self, rng, l, size):
+        fs = _stack(rng, l, size)
+        a = np.array([f.breakpoints for f in fs]).reshape(size, l)
+        b = np.array([f.values for f in fs])
+        for rho in (0.0, 0.5, -0.5, -1 / 3, 1.0 - 1e-7, -(1.0 - 1e-7), 1.0, -1.0):
+            got = M._f2_stack(a, b, rho)
+            assert got.shape == (size,)
+            assert _bits(got) == _bits([M.f2(f, rho) for f in fs])
+
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+    def test_sat_probs_match_single_calls(self, rng, l, size):
+        fs = _stack(rng, l, size)
+        for k in range(2, 11):
+            rhos = [0.0, 1.0 - 4.0 / k, 0.5, 1.0 - 1e-7, 1.0 - 1e-12, 1.0]
+            if k <= 3:
+                rhos += [-0.5, -(1.0 - 1e-7), -1.0]
+            for rho in rhos:
+                got = M.sat_probs_symmetric(fs, k, rho)
+                assert _bits(got) == _bits([M.sat_prob_symmetric(f, k, rho) for f in fs])
+                if k <= 3 and rho != 0.0:  # the route through f2's cached lattice
+                    c = 2.0 ** (k - 1)
+                    want = [((c - 1.0) - (c - 1.0) * M.f2(f, rho)) / c for f in fs]
+                    assert _bits(got) == _bits(want)
+
+    def test_split_panels(self, rng):
+        # rho = 1 - 4/k is past ~0.993 from k ~ 570: the panels split per function
+        k = 1000
+        fs = _stack(rng, 2, 5)
+        eta, s = np.sqrt(1.0 - 4.0 / k), np.sqrt(4.0 / k)
+        assert s / eta < M._RESOLVED_WIDTH
+        got = M.sat_probs_symmetric(fs, k, 1.0 - 4.0 / k)
+        assert _bits(got) == _bits([M.sat_prob_symmetric(f, k, 1.0 - 4.0 / k) for f in fs])
+
+    def test_needs_one_breakpoint_count(self):
+        with pytest.raises(DomainError, match="one breakpoint count"):
+            M.sat_probs_symmetric([SIGN, StepFunction((1.0,), (0.5, 1.0))], 5, 0.5)
+        with pytest.raises(DomainError, match="one breakpoint count"):
+            M.sat_probs_symmetric([], 5, 0.5)
 
 
 class TestMomentMC:

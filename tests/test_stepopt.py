@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from naeopt.core import SIGN, StepFunction
 from naeopt.errors import DomainError
 from naeopt import stepopt as S
 from naeopt.moments import f2, sat_prob_symmetric
+
+from conftest import peak_traced_mb
 
 TABLE_35 = StepFunction((2.275193649,), (-1.0, 1.0))
 
@@ -34,6 +38,22 @@ class TestObjective:
             S.objective_alphaK(SIGN, (2, 5))
         with pytest.raises(DomainError):
             S.StepSearchConfig((2, 4))
+
+    @pytest.mark.parametrize("sizes", [(3, 5.7), (3, 5.0), (3.0,), (3, "5"), (3, math.nan)])
+    def test_clause_sizes_must_be_integers(self, sizes):
+        # 5.7 was read as 5 by the search and as k = 5.7 by the objective
+        with pytest.raises(DomainError, match="integer"):
+            S.StepSearchConfig(sizes)
+        with pytest.raises(DomainError, match="integer"):
+            S.objective_alphaK(SIGN, sizes)
+        with pytest.raises(DomainError, match="integer"):
+            S.per_size_probs(SIGN, sizes)
+
+    def test_numpy_integer_sizes_are_integers(self):
+        cfg = S.StepSearchConfig((np.int64(5), 3, np.int32(5)))
+        assert cfg.clause_sizes == (3, 5) and all(type(k) is int for k in cfg.clause_sizes)
+        want = S.objective_alphaK(TABLE_35, (3, 5))
+        assert S.objective_alphaK(TABLE_35, (3, np.int64(5))) == want
 
 
 class TestOptimizeStep:
@@ -65,6 +85,14 @@ class TestOptimizeStep:
     def test_needs_a_restart(self, restarts):
         with pytest.raises(DomainError):
             S.StepSearchConfig((3, 5), restarts=restarts)
+
+    @pytest.mark.parametrize("field,value", [("steps", 2.0), ("steps", 1.5), ("steps", math.nan),
+                                             ("restarts", 2.5), ("restarts", math.nan),
+                                             ("restarts", 2.0), ("restarts", "4")])
+    def test_counts_must_be_integers(self, field, value):
+        # these were accepted here and failed later, inside optimize_step
+        with pytest.raises(DomainError, match="integer"):
+            S.StepSearchConfig((3, 5), **{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
     def test_seed_domain(self, seed):
@@ -140,9 +168,17 @@ def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def _alone(loss, x0):
+    """The search from ``x0`` alone, with ``loss`` scoring one point per call."""
+    [result] = S._lockstep(lambda points: [loss(x) for x in points],
+                           [np.asarray(x0, dtype=float)])
+    return result
+
+
 class TestNelderMead:
-    """``_nelder_mead`` against scipy's Nelder-Mead with the same options:
-    the same bits of x and of the loss, and the same converged flag."""
+    """``_nelder_mead``, driven by ``_lockstep``, against scipy's Nelder-Mead
+    with the same options: the same bits of x and of the loss, and the same
+    converged flag."""
 
     @pytest.mark.parametrize("clause_sizes,steps,pm_one,seed", [
         ((3, 5), 2, True, 0),    # criterion 5's search: one breakpoint
@@ -152,18 +188,20 @@ class TestNelderMead:
     def test_matches_scipy_on_optimize_step_starts(self, monkeypatch, clause_sizes, steps,
                                                    pm_one, seed):
         runs = []
-        real = S._nelder_mead
+        real = S._lockstep
 
-        def spy(loss, x0):
-            runs.append((loss, x0.copy(), real(loss, x0)))
-            return runs[-1][2]
+        def spy(loss, starts):
+            starts = [x0.copy() for x0 in starts]
+            results = real(loss, starts)
+            runs.extend((loss, x0, r) for x0, r in zip(starts, results))
+            return results
 
-        monkeypatch.setattr(S, "_nelder_mead", spy)
+        monkeypatch.setattr(S, "_lockstep", spy)
         S.optimize_step(S.StepSearchConfig(clause_sizes, steps=steps, pm_one=pm_one,
                                            restarts=4, seed=seed))
         assert len(runs) == 4
         for loss, x0, (x, fun, converged) in runs:
-            ref = _scipy_nelder_mead(loss, x0)
+            ref = _scipy_nelder_mead(lambda p: loss(p[None])[0], x0)
             assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
             assert converged == ref.success
         if clause_sizes == (3, 7):
@@ -187,7 +225,7 @@ class TestNelderMead:
 
         loss, calls = rising()
         x0 = np.linspace(-1.0, 1.5, n)
-        x, fun, converged = S._nelder_mead(loss, x0)
+        x, fun, converged = _alone(loss, x0)
         ref_loss, ref_calls = rising()
         ref = _scipy_nelder_mead(ref_loss, x0)
         assert len(calls) == len(ref_calls) == ref.nfev == S._MAX_ITER
@@ -203,7 +241,7 @@ class TestNelderMead:
         def loss(x):
             return float(np.floor(q * np.sum(np.abs(x - 0.3))))
 
-        x, fun, converged = S._nelder_mead(loss, np.array(x0))
+        x, fun, converged = _alone(loss, x0)
         ref = _scipy_nelder_mead(loss, np.array(x0))
         assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
         assert converged == ref.success
@@ -214,10 +252,85 @@ class TestNelderMead:
         def loss(x):
             return float(np.sum((x - 0.3) ** 2) + np.abs(x[0]))
 
-        x, fun, converged = S._nelder_mead(loss, np.array(x0))
+        x, fun, converged = _alone(loss, x0)
         ref = _scipy_nelder_mead(loss, np.array(x0))
         assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
         assert converged and ref.success
+
+
+class TestLockstep:
+    """Every start run at once gives what each start gives searched alone."""
+
+    @pytest.mark.parametrize("clause_sizes,steps,pm_one,restarts,seed", [
+        ((3, 5), 2, True, 16, 5),      # the benchmark's search
+        ((3, 5), 2, True, 1, 0),
+        ((3, 6), 2, False, 3, 1),      # free values: three parameters
+        ((3, 6), 3, False, 1, 2),      # five parameters
+        ((3, 7, 8), 3, True, 3, 3),
+        ((3, 7, 8), 4, True, 1, 4),
+    ])
+    def test_optimize_step_matches_each_start_alone(self, monkeypatch, clause_sizes, steps,
+                                                    pm_one, restarts, seed):
+        cfg = S.StepSearchConfig(clause_sizes, steps=steps, pm_one=pm_one,
+                                 restarts=restarts, seed=seed)
+        together = repr(S.optimize_step(cfg))
+
+        def loss(x):  # one point, scored with the one-function objective
+            f = S._decode(x, cfg)
+            return 2.0 if f is None else -S.objective_alphaK(f, cfg.clause_sizes)
+
+        rounds = []
+        real = S._lockstep
+
+        def one_at_a_time(batched_loss, starts):
+            rounds.append(len(starts))
+            return [real(lambda points: [loss(x) for x in points], [x0])[0] for x0 in starts]
+
+        monkeypatch.setattr(S, "_lockstep", one_at_a_time)
+        assert repr(S.optimize_step(cfg)) == together
+        assert rounds == [restarts]
+
+    def test_cap_fires_inside_a_shrink_while_others_run(self):
+        # The loss depends on where a start searches.  Near 100 and near 200
+        # each call returns a number above every earlier one of its own start,
+        # so both run to the cap, which for n = 4 fires inside a shrink (see
+        # test_matches_scipy_through_shrinks_to_the_cap); the start near 0
+        # converges on a staircase well before that
+        def staged():
+            counts = {}
+
+            def loss(x):
+                if x[0] < 50.0:
+                    return float(np.floor(4.0 * np.sum(np.abs(x - 0.3))))
+                counts[x[0] > 150.0] = counts.get(x[0] > 150.0, 0) + 1
+                return float(counts[x[0] > 150.0])
+
+            return loss
+
+        starts = [np.linspace(99.0, 101.5, 4), np.array([1.5, -1.0, 2.5, 0.5]),
+                  np.linspace(199.0, 201.5, 4)]
+        loss = staged()
+        seen = []
+
+        def batched(points):
+            seen.append(len(points))
+            return [loss(x) for x in points]
+
+        together = S._lockstep(batched, starts)
+        assert seen[0] == 3 and seen[-1] == 2 and len(seen) == S._MAX_ITER
+        assert [converged for _, _, converged in together] == [False, True, False]
+        for x0, (x, fun, converged) in zip(starts, together):
+            alone = _alone(staged(), x0)
+            ref = _scipy_nelder_mead(staged(), x0)
+            assert _same_bits(x, alone[0]) and _same_bits(fun, alone[1])
+            assert _same_bits(x, ref.x) and _same_bits(fun, ref.fun)
+            assert converged == alone[2] == ref.success
+
+    def test_peak_memory(self):
+        # 192 restarts run 64 at a time: 2.7 MB traced, as 64 restarts alone
+        # take; all 192 in flight at once peaked at 8.2 MB
+        cfg = S.StepSearchConfig((3, 5), restarts=192, seed=1)
+        assert peak_traced_mb(lambda: S.optimize_step(cfg)) <= 4
 
 
 def _nae3_prob(f, r12, r13, r23):

@@ -59,6 +59,15 @@ def checked_seed(seed) -> int:
     return int(seed)
 
 
+def checked_int(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer of at least ``least``: the
+    rule for every count and size the library takes (a float such as 2.0 is
+    rejected; numpy integers are integers)."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
     """Midpoint of the bracket left by ``iters`` golden-section steps
     minimizing the unimodal ``fn`` on [lo, hi]."""

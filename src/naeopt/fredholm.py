@@ -20,12 +20,18 @@ by quadratic forms: every F_2 of the zero function is +-0, so its
 soundness is closed form, and the sign function's F_2(rho) depends on N
 and rho alone, so one cached value serves a whole rho-slice.  A singular
 system raises LinAlgError in np.linalg.solve and counts as inconsistent.
-Grid scans take the winner's index, soundness and completeness straight
-from the search and build no GridFunction per point.  approx_ratio, which
-keeps only the least ratio of its grid, searches few of the points:
+Both grid scans, curve and approx_ratio's coarse one, walk each (rho,
+variant) slice with _walk: it searches the points in alpha order, hints
+each search with the i* of the one before and yields the winner's
+soundness, building no GridFunction per point.  approx_ratio, which keeps
+only the least ratio of its grid, has the walker pass over most points:
 max(zero, sign) / completeness bounds a point's ratio from below with the
 very floats the search compares, so a point whose bound exceeds the
-running minimum can neither be the minimum nor tie it and is skipped.
+running minimum can neither be the minimum nor tie it.  Every ratio (a
+curve point's, a bound, the coarse scan's and the refinement's) is s / c
+by one rule, _ratio, and infinite where the completeness c is at most
+1e-12; both scans deal their slices to worker processes by one rule,
+_pool_map.
 
 Everything works on the odd-reduced half system: solutions are odd, so
 cell N+1-i carries value -f_i and the linear algebra shrinks by 8x.
@@ -64,7 +70,6 @@ are compared by true soundness.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -73,7 +78,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import GridFunction, HardDistribution, equal_mass_edges, golden_section_min
+from .core import GridFunction, HardDistribution, checked_int, equal_mass_edges, golden_section_min
 from .errors import DomainError
 from . import hermite, moments
 
@@ -319,11 +324,12 @@ def _consistent_half(fh: np.ndarray, i_a: int) -> bool:
     return -2.0 * prev >= -1e-12
 
 
-def _interior_residual(f: np.ndarray, R: np.ndarray, lam: float, i_a: int, n: int) -> float:
+def _interior_residual(f: np.ndarray, dist: HardDistribution, i_a: int, n: int) -> float:
     half = n // 2
-    if i_a >= half or not np.isfinite(lam):
-        return 0.0
-    r = f[:half] + lam * (R @ f[:half])
+    if not 0 < i_a < half:
+        return 0.0  # the zero and sign functions, the only winners at the degenerate corners
+    spec = kernel_spec(dist)
+    r = f[:half] + 1.0 / spec.lambda1 * (_combined_reduced(spec, n) @ f[:half])
     return float(np.linalg.norm(r[i_a:half]))
 
 
@@ -376,13 +382,8 @@ def _smallest_consistent_clamp(ok, half: int, hint: int | None) -> int:
 
 
 def _check_cells(n) -> None:
-    if not isinstance(n, numbers.Integral) or n < 2 or n % 2:
+    if checked_int("the cell count", n, 2) % 2:
         raise DomainError(f"the solver needs an even cell count of at least 2, got {n!r}")
-
-
-def _check_threads(threads) -> None:
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise DomainError(f"threads must be an integer of at least 1, got {threads!r}")
 
 
 def _zero_and_sign(dist, n: int):
@@ -396,11 +397,10 @@ def _zero_and_sign(dist, n: int):
 def _search(dist: HardDistribution, n: int, hint: int | None = None):
     """The clamp search of optimal_step_function, without the result object.
 
-    Returns (i_a, f, soundness, R, lam, i*): the winning clamp index, its
-    full odd f, its soundness, the reduced kernel and lam of the system it
-    solves, and the smallest consistent clamp i*, which does not depend on
-    the hint and is the hint for the next search (None, inf and None at
-    the degenerate corners).
+    Returns (i_a, f, soundness, i*): the winning clamp index, its full odd
+    f, its soundness, and the smallest consistent clamp i*, which does not
+    depend on the hint and is the hint for the next search (None at the
+    degenerate corners).
     """
     half = n // 2
     zero, sign = _zero_and_sign(dist, n)
@@ -409,7 +409,7 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
         spec = kernel_spec(dist)
     if spec is None or spec.lambda1 <= _TINY_LAMBDA1:
         # the degenerate corners: best of {sign, 0} by true soundness
-        return _best([sign, zero], {}, n) + (None, math.inf, None)
+        return _best([sign, zero], {}, n) + (None,)
 
     lam = 1.0 / spec.lambda1
     R = _combined_reduced(spec, n)
@@ -430,27 +430,23 @@ def _search(dist: HardDistribution, n: int, hint: int | None = None):
     cands = [zero, sign]
     if i_star < half:
         cands.insert(1, (_soundness_values(found[i_star], dist, n), i_star))
-    return _best(cands, found, n) + (R, lam, i_star)
+    return _best(cands, found, n) + (i_star,)
 
 
-def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N,
-                          hint: int | None = None) -> FredholmSolution:
+def optimal_step_function(dist: HardDistribution, n: int = DEFAULT_N) -> FredholmSolution:
     """Best discrete rounding function for one hard distribution.
 
     The search locates the smallest clamp i* >= 1 whose solved interior is
-    consistent (inside (-1, 1) and monotone): from ``hint``, a guess such
-    as the clamp of a neighbouring grid point, it gallops 1, 2, 4, ...
-    clamps away until i* is bracketed and bisects the bracket; without one
-    it tries i_a = 1 and bisects [1, N/2].  The candidates are the zero
-    function (i_a = 0), i* and the fully clamped sign function, which is
-    always consistent, and the highest-soundness one wins.  The consistent
-    clamps between i* and N/2 are left out: none scores above i*
-    (``TestClampSearch``).
+    consistent (inside (-1, 1) and monotone): it tries i_a = 1 and bisects
+    [1, N/2].  The candidates are the zero function (i_a = 0), i* and the
+    fully clamped sign function, which is always consistent, and the
+    highest-soundness one wins.  The consistent clamps between i* and N/2
+    are left out: none scores above i* (``TestClampSearch``).
     """
     _check_cells(n)
-    i_a, f, s, R, lam, _ = _search(dist, n, hint)
+    i_a, f, s, _ = _search(dist, n)
     return FredholmSolution(GridFunction(tuple(np.clip(f, -1.0, 1.0))), i_a,
-                            _interior_residual(f, R, lam, i_a, n), s, completeness(dist))
+                            _interior_residual(f, dist, i_a, n), s, completeness(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -469,24 +465,50 @@ class CurvePoint:
 
     @property
     def ratio(self) -> float:
-        return self.soundness / self.completeness if self.completeness > 1e-12 else math.inf
+        return _ratio(self.soundness, self.completeness)
+
+
+def _ratio(s, c):
+    """The ratio s / c of soundness to completeness, infinite where c <= 1e-12;
+    elementwise where c is an array."""
+    if isinstance(c, np.ndarray):
+        return np.divide(s, c, out=np.full(c.shape, math.inf), where=c > 1e-12)
+    return s / c if c > 1e-12 else math.inf
 
 
 def _variants(problem: str):
     return ("clamped", "one") if problem == "nae3" else ("clamped",)
 
 
+def _walk(problem: str, alphas, rho: float, variant: str, n: int, skip=None):
+    """(alpha index, distribution, soundness) of each point of the (rho,
+    variant) slice in alpha order, each search hinted by the i* of the one
+    before.  A point is passed over if skip(its index) holds as it comes up."""
+    hint = None
+    for i, alpha in enumerate(alphas):
+        if skip is None or not skip(i):
+            dist = HardDistribution(problem, alpha, rho, variant)
+            _, _, s, hint = _search(dist, n, hint)
+            yield i, dist, s
+
+
+def _pool_map(fn, count: int, threads: int, tasks):
+    """Yields fn(t) for t in tasks(w) in order, w = min(threads, count slices, CPUs):
+    from w worker processes, about four chunks of tasks each, or here when w is 1."""
+    workers = max(1, min(threads, count, os.cpu_count() or 1))
+    todo = tasks(workers)
+    if workers == 1:
+        yield from map(fn, todo)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        yield from ex.map(fn, todo, chunksize=max(1, len(todo) // (4 * workers)))
+
+
 def _scan_rho(args) -> list[CurvePoint]:
     problem, rho, alphas, n = args
-    pts = []
-    for variant in _variants(problem):
-        hint = None
-        for alpha in alphas:
-            dist = HardDistribution(problem, alpha, rho, variant)
-            _, _, s, _, _, hint = _search(dist, n, hint)
-            pts.append(CurvePoint(problem, float(alpha), float(rho), variant,
-                                  completeness(dist), s, True))
-    return pts
+    return [CurvePoint(problem, float(dist.alpha), rho, variant, completeness(dist), s, True)
+            for variant in _variants(problem)
+            for _, dist, s in _walk(problem, alphas, rho, variant, n)]
 
 
 def curve(problem: str, alpha_grid, rho_grid, n: int = CURVE_N,
@@ -502,19 +524,9 @@ def curve(problem: str, alpha_grid, rho_grid, n: int = CURVE_N,
     if not alphas.size or not rhos.size:
         raise DomainError("grids must be non-empty")
     _check_cells(n)
-    _check_threads(threads)
+    checked_int("threads", threads, 1)
     tasks = [(problem, float(r), alphas, n) for r in rhos]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    pts: list[CurvePoint] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for chunk in ex.map(_scan_rho, tasks,
-                                chunksize=max(1, len(tasks) // (4 * workers))):
-                pts.extend(chunk)
-    else:
-        for t in tasks:
-            pts.extend(_scan_rho(t))
-    return pts
+    return [p for pts in _pool_map(_scan_rho, len(tasks), threads, lambda w: tasks) for p in pts]
 
 
 def lower_envelope(points) -> list[tuple[float, float]]:
@@ -545,7 +557,7 @@ class RatioResult:
 def _slice_bounds(problem: str, alphas: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
     """max(zero, sign) / completeness, a lower bound on the ratio, at every
     grid point: one row per (rho, variant) slice in curve's order, one
-    column per alpha, inf where the ratio is inf."""
+    column per alpha."""
     variants = _variants(problem)
     out = np.empty((len(rhos) * len(variants), len(alphas)))
     for k, (rho, variant) in enumerate((float(r), v) for r in rhos for v in variants):
@@ -553,9 +565,7 @@ def _slice_bounds(problem: str, alphas: np.ndarray, rhos: np.ndarray, n: int) ->
         view = SimpleNamespace(problem=problem, alpha=alphas, rho=rho, rho0_variant=variant,
                                rho0=d.rho0 if problem == "nae3" else None)
         (zero, _), (sign, _) = _zero_and_sign(view, n)
-        c = completeness(view)
-        out[k] = np.inf
-        np.divide(np.maximum(zero, sign), c, out=out[k], where=c > 1e-12)
+        out[k] = _ratio(np.maximum(zero, sign), completeness(view))
     return out
 
 
@@ -570,14 +580,8 @@ def _pruned_scan(args):
         if bounds.min() > best[0]:
             break
         rho, variant = float(rhos[k // len(variants)]), variants[k % len(variants)]
-        hint = None
-        for i, bound in enumerate(bounds.tolist()):
-            if bound > best[0]:
-                continue
-            dist = HardDistribution(problem, alphas[i], rho, variant)
-            _, _, s, _, _, hint = _search(dist, n, hint)
-            c = completeness(dist)
-            best = min(best, (s / c if c > 1e-12 else math.inf, k, i))
+        for i, dist, s in _walk(problem, alphas, rho, variant, n, lambda i: bounds[i] > best[0]):
+            best = min(best, (_ratio(s, completeness(dist)), k, i))
     return best
 
 
@@ -585,32 +589,15 @@ def _coarse_minimum(problem: str, alphas: np.ndarray, rhos: np.ndarray, n: int,
                     threads: int) -> tuple[float, int, int]:
     """(ratio, slice, alpha index) of min(curve(...), key=ratio), the first
     in curve's order on ties, visiting slices in ascending order of their
-    smallest bound.  With ``threads`` the first slice is scanned here and
-    the slices its minimum leaves are dealt to up to ``threads`` worker
-    processes, at most one per slice and per CPU, each with its own running
-    minimum."""
+    smallest bound.  The first slice is scanned here and the slices its
+    minimum leaves are dealt to up to ``threads`` worker processes, at most
+    one per slice and per CPU, each with its own running minimum."""
     bounds = _slice_bounds(problem, alphas, rhos, n)
     slices = [(int(k), bounds[k]) for k in np.argsort(bounds.min(axis=1), kind="stable")]
     best = _pruned_scan((problem, alphas, rhos, n, slices[:1], (math.inf, math.inf, math.inf)))
     rest = [sl for sl in slices[1:] if sl[1].min() <= best[0]]
-    workers = min(threads, len(rest), os.cpu_count() or 1)
-    if workers <= 1:
-        return _pruned_scan((problem, alphas, rhos, n, rest, best))
-    tasks = [(problem, alphas, rhos, n, rest[w::workers], best) for w in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return min(ex.map(_pruned_scan, tasks))
-
-
-def _ratio_at(problem: str, alpha: float, rho: float, variant: str, n: int,
-              hint: int | None = None) -> tuple[float, int | None]:
-    """Ratio at (alpha, rho), clamped into the domain, and the clamp hint
-    its search gives the next call."""
-    alpha = min(max(alpha, 0.0), 1.0)
-    rho = min(max(rho, -1.0), 0.0)
-    dist = HardDistribution(problem, alpha, rho, variant)
-    _, _, s, _, _, i_star = _search(dist, n, hint)
-    c = completeness(dist)
-    return (math.inf if c <= 1e-9 else s / c), i_star
+    return min(_pool_map(_pruned_scan, len(rest), threads, lambda w: [
+        (problem, alphas, rhos, n, rest[i::w], best) for i in range(w)]))
 
 
 def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
@@ -629,14 +616,11 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
     alternating golden-section passes per axis at the full cell count
     around the coarse minimizer, each search hinted by the one before.
     """
-    if not isinstance(grid, numbers.Integral) or grid < 2:
-        raise DomainError(f"the coarse grid needs an integer of at least 2 points per axis, "
-                          f"got {grid!r}")
-    if not isinstance(rounds, numbers.Integral) or rounds < 0:
-        raise DomainError(f"rounds must be an integer >= 0, got {rounds!r}")
+    checked_int("grid (points per axis)", grid, 2)
+    checked_int("rounds", rounds, 0)
     _check_cells(n)
     _check_cells(coarse_n)
-    _check_threads(threads)
+    checked_int("threads", threads, 1)
     alphas = np.linspace(0.0, 1.0, grid)
     rhos = np.linspace(-1.0, 0.0, grid)
     _, k, i = _coarse_minimum(problem, alphas, rhos, coarse_n, threads)
@@ -646,9 +630,11 @@ def approx_ratio(problem: str, grid: int = 500, rounds: int = 3,
     hint = None
 
     def ratio_at(a, r):
+        """The ratio at (a, r), clamped into the domain."""
         nonlocal hint
-        ratio, hint = _ratio_at(problem, a, r, variant, n, hint)
-        return ratio
+        dist = HardDistribution(problem, min(max(a, 0.0), 1.0), min(max(r, -1.0), 0.0), variant)
+        _, _, s, hint = _search(dist, n, hint)
+        return _ratio(s, completeness(dist))
 
     ha = hr = max(0.01, 2.0 / (grid - 1))
     for _ in range(rounds):

@@ -21,15 +21,14 @@ analytic route (general Gram matrices, 4-wise and higher).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .core import (GramConfig, StepFunction, checked_seed, gaussian_pdf, step_cells,
-                   validate_gram)
+from .core import (GramConfig, StepFunction, checked_int, checked_seed, gaussian_pdf,
+                   step_cells, validate_gram)
 from .errors import DomainError
 
 _TAIL = 10.0  # Gaussian mass beyond |x| = 10 is < 1.6e-23, below every tolerance
@@ -377,8 +376,7 @@ def sat_probs_symmetric(fs, k: int, rho: float) -> np.ndarray:
 def _sat_probs(a: np.ndarray, b: np.ndarray, k: int, rho: float) -> np.ndarray:
     """sat_prob_symmetric of every step function of a stack (breakpoints a
     (..., l), values b (..., l+1))."""
-    if not isinstance(k, numbers.Integral) or k < 2:
-        raise DomainError(f"NAE clauses need an integer k >= 2, got {k!r}")
+    checked_int("the NAE clause size k", k, 2)
     if rho == 0.0:
         # independent projections: every F_i (i >= 1) of an odd f vanishes
         return np.full(a.shape[:-1], 1.0 - 2.0 ** (1 - k))

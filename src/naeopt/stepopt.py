@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGN, StepFunction, checked_seed
+from .core import SIGN, StepFunction, checked_int, checked_seed
 from .errors import DomainError, StructuralError
 from .moments import sat_prob_symmetric, sat_probs_symmetric
 
@@ -64,11 +64,8 @@ class StepSearchConfig:
 
     def __post_init__(self):
         ks = tuple(sorted(set(_checked_sizes(self.clause_sizes))))
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
-            raise DomainError(f"need an integer number of steps, at least one, got {self.steps!r}")
-        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
-            raise DomainError(f"need an integer number of restarts, at least one, "
-                              f"got {self.restarts!r}")
+        checked_int("steps", self.steps, 1)
+        checked_int("restarts", self.restarts, 1)
         object.__setattr__(self, "clause_sizes", ks)
         object.__setattr__(self, "seed", checked_seed(self.seed))
 

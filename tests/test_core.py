@@ -12,6 +12,7 @@ from naeopt.core import (
     NAEInstance,
     StepFunction,
     VectorAssignment,
+    checked_int,
     checked_seed,
     validate_gram,
 )
@@ -264,6 +265,18 @@ class TestCheckedSeed:
     def test_rejects_the_rest(self, seed):
         with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             checked_seed(seed)
+
+
+class TestCheckedInt:
+    @pytest.mark.parametrize("value", [2, 7, np.int64(2), np.uint8(9), 2**70])
+    def test_accepts_integers_from_the_least(self, value):
+        assert checked_int("count", value, 2) == int(value)
+        assert type(checked_int("count", value, 2)) is int
+
+    @pytest.mark.parametrize("value", [1, -3, np.int32(1), 2.0, 2.5, math.nan, "3", None])
+    def test_rejects_the_rest(self, value):
+        with pytest.raises(DomainError, match=r"^count must be an integer of at least 2, got "):
+            checked_int("count", value, 2)
 
 
 # ---------------------------------------------------------------------------

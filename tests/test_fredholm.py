@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,6 +197,15 @@ class TestOptimalStepFunction:
         assert np.all(v[:i] == -1) and np.all(v[-i:] == 1)
         assert np.all(np.abs(v[i:-i]) < 1)
 
+    def test_residual_pinned(self, hard_solution):
+        # the interior stationarity residual, bit for bit, of the system the search solved
+        sol, n = hard_solution, hard_solution.f.cells
+        spec = F.kernel_spec(HARD_NAE3)
+        fh = np.asarray(sol.f.values[: n // 2])
+        r = fh + 1.0 / spec.lambda1 * (F._combined_reduced(spec, n) @ fh)
+        assert 0 < sol.clamp_index < n // 2
+        assert _bits(sol.residual) == _bits(np.linalg.norm(r[sol.clamp_index:]))
+
     def test_local_optimality_against_families(self, hard_solution):
         sol = hard_solution
         s_sign = F.soundness(GridFunction((-1.0,) * 300 + (1.0,) * 300), HARD_NAE3)
@@ -329,7 +339,8 @@ class TestClampSearch:
         n, half = 100, 50
         dist = HardDistribution(problem, 0.7381, -0.742, variant)
         i_star = _consistent_clamps(dist, n)[0]
-        cold = F.optimal_step_function(dist, n)
+        cold = F._search(dist, n)
+        assert cold[3] == i_star
         sizes = []
         solve = np.linalg.solve
 
@@ -337,17 +348,22 @@ class TestClampSearch:
             sizes.append(a.shape[0])
             return solve(a, b)
 
+        def same(got):  # i_a, the bits of f, the soundness and i* of the cold search
+            return (got[0] == cold[0] and np.array_equal(got[1].view(np.uint64),
+                                                         cold[1].view(np.uint64))
+                    and _bits(got[2]) == _bits(cold[2]) and got[3] == cold[3])
+
         monkeypatch.setattr(np.linalg, "solve", counted)
-        assert F.optimal_step_function(dist, n) == cold
+        assert same(F._search(dist, n))
         # the system of clamp i_a has half - i_a unknowns: none for 0 or half
         assert sizes and all(0 < m < half for m in sizes)
         sizes.clear()
-        assert F.optimal_step_function(dist, n, hint=i_star) == cold
+        assert same(F._search(dist, n, i_star))
         assert len(sizes) <= 2 and all(0 < m < half for m in sizes)
         # a wrong hint costs the gallop and a bisection of its bracket
         for hint in range(1, half + 1):
             sizes.clear()
-            assert F.optimal_step_function(dist, n, hint=hint) == cold
+            assert same(F._search(dist, n, hint)), hint
             d = abs(hint - i_star)
             assert len(sizes) <= 2 * math.ceil(math.log2(d + 1)) + 2, hint
 
@@ -376,17 +392,13 @@ class TestClampSearch:
 
 def _scan_digest(problem, grid, n):
     """sha256 of the clamp index and soundness bits of every point of the
-    grid x grid scan, built point by point from optimal_step_function with
-    the hints the scan passes."""
+    grid x grid scan, built point by point from optimal_step_function."""
     clamps, sounds = [], []
     alphas = np.linspace(0.0, 1.0, grid)
     for rho in np.linspace(-1.0, 0.0, grid):
         for variant in F._variants(problem):
-            hint = None
             for alpha in alphas:
-                sol = F.optimal_step_function(HardDistribution(problem, alpha, rho, variant), n,
-                                              hint=hint)
-                hint = sol.clamp_index if 1 <= sol.clamp_index < n // 2 else None
+                sol = F.optimal_step_function(HardDistribution(problem, alpha, rho, variant), n)
                 clamps.append(sol.clamp_index)
                 sounds.append(sol.soundness)
     return hashlib.sha256(np.array(clamps, dtype="<i8").tobytes()
@@ -494,48 +506,15 @@ class TestCurveAndRatio:
         parallel = F.curve("nae3", a, r, 50, threads=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("threads, slices, cpus", [
-        (8, 5, 3), (8, 2, 16), (2, 5, 16),
-        (4, 1, 16), (8, 5, 1), (8, 5, None),  # serial: no pool
-    ])
-    def test_pool_has_at_most_one_worker_per_slice_and_cpu(self, monkeypatch, threads,
-                                                           slices, cpus):
-        started = []
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Stands in for ProcessPoolExecutor: records the size of each pool
+        and the tasks handed to it, and maps in this process."""
+        log = SimpleNamespace(started=[], tasks=[])
 
-        class SerialPool:  # records its size and maps in this process
+        class SerialPool:
             def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        a, r = np.linspace(0.2, 0.9, 3), np.linspace(-0.9, -0.2, slices)
-        serial = F.curve("nae3", a, r, 20)
-        monkeypatch.setattr(F, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(F.os, "cpu_count", lambda: cpus)
-        assert F.curve("nae3", a, r, 20, threads=threads) == serial
-        workers = min(threads, slices, cpus or 1)
-        assert started == ([workers] if workers > 1 else [])
-
-    @pytest.mark.parametrize("problem, grid, rest, threads, cpus", [
-        ("nae3", 12, 8, 8, 3), ("nae3", 12, 8, 2, 16), ("nae3", 12, 8, 16, 16),
-        ("nae3", 12, 8, 4, 1), ("nae3", 12, 8, 8, None), ("nae3", 12, 8, 1, 16),  # no pool
-        ("maxcut", 9, 0, 8, 16),  # the first slice's minimum rules out every other slice
-    ])
-    def test_pruned_scan_pool_matches_serial(self, monkeypatch, problem, grid, rest,
-                                             threads, cpus):
-        # ``rest`` is the number of slices left after the first one is scanned
-        started, handed = [], []
-
-        class SerialPool:  # records its size and the slices of each task, maps in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
+                log.started.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -545,16 +524,40 @@ class TestCurveAndRatio:
 
             def map(self, fn, tasks, chunksize=1):
                 tasks = list(tasks)
-                handed.extend(len(t[4]) for t in tasks)
+                log.tasks.extend(tasks)
                 return map(fn, tasks)
 
+        monkeypatch.setattr(F, "ProcessPoolExecutor", SerialPool)
+        return log
+
+    @pytest.mark.parametrize("threads, slices, cpus", [
+        (8, 5, 3), (8, 2, 16), (2, 5, 16),
+        (4, 1, 16), (8, 5, 1), (8, 5, None),  # serial: no pool
+    ])
+    def test_pool_has_at_most_one_worker_per_slice_and_cpu(self, monkeypatch, pool, threads,
+                                                           slices, cpus):
+        a, r = np.linspace(0.2, 0.9, 3), np.linspace(-0.9, -0.2, slices)
+        serial = F.curve("nae3", a, r, 20)
+        monkeypatch.setattr(F.os, "cpu_count", lambda: cpus)
+        assert F.curve("nae3", a, r, 20, threads=threads) == serial
+        workers = min(threads, slices, cpus or 1)
+        assert pool.started == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("problem, grid, rest, threads, cpus", [
+        ("nae3", 12, 8, 8, 3), ("nae3", 12, 8, 2, 16), ("nae3", 12, 8, 16, 16),
+        ("nae3", 12, 8, 4, 1), ("nae3", 12, 8, 8, None), ("nae3", 12, 8, 1, 16),  # no pool
+        ("maxcut", 9, 0, 8, 16),  # the first slice's minimum rules out every other slice
+    ])
+    def test_pruned_scan_pool_matches_serial(self, monkeypatch, pool, problem, grid, rest,
+                                             threads, cpus):
+        # ``rest`` is the number of slices left after the first one is scanned
         a, r = np.linspace(0.0, 1.0, grid), np.linspace(-1.0, 0.0, grid)
         serial = F._coarse_minimum(problem, a, r, 20, 1)
-        monkeypatch.setattr(F, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(F.os, "cpu_count", lambda: cpus)
         assert F._coarse_minimum(problem, a, r, 20, threads) == serial
         workers = min(threads, rest, cpus or 1)
-        assert started == ([workers] if workers > 1 else [])
+        assert pool.started == ([workers] if workers > 1 else [])
+        handed = [len(t[4]) for t in pool.tasks]  # the slices of each task
         if workers > 1:
             assert len(handed) == workers and min(handed) >= 1 and sum(handed) == rest
 
@@ -603,14 +606,20 @@ class TestCurveAndRatio:
         with pytest.raises(DomainError, match="at least 2"):
             F.approx_ratio("nae3", grid=2, **cells)
 
-    def test_ratio_at_zero_completeness_is_infinite(self):
-        assert F._ratio_at("maxcut", 0.0, -0.5, "clamped", 20)[0] == math.inf
-
-    @pytest.mark.parametrize("problem, variant", CASES)
-    def test_ratio_at_ignores_its_hint(self, problem, variant):
-        cold = F._ratio_at(problem, 0.7381, -0.742, variant, 100)
-        for hint in range(1, 51):
-            assert F._ratio_at(problem, 0.7381, -0.742, variant, 100, hint) == cold
+    @pytest.mark.parametrize("c", [0.0, 1e-13, 1e-12, 2e-12, 5e-10, 1e-9, 0.5])
+    def test_one_ratio_rule(self, monkeypatch, c):
+        # one rule, s / c and infinite at c <= 1e-12, for a curve point, a
+        # bound row and the refinement, on both sides of the threshold
+        want = math.inf if c <= 1e-12 else 0.25 / c
+        assert F.CurvePoint("maxcut", 0.5, -0.5, "clamped", c, 0.25, True).ratio == want
+        row = F._ratio(np.array([0.25, 0.25]), np.array([c, 0.5]))
+        assert _bits(row[0]) == _bits(want) and row[1] == 0.5
+        s = F.optimal_step_function(HardDistribution("maxcut", 0.0, -1.0), 20).soundness
+        monkeypatch.setattr(F, "_coarse_minimum", lambda *args: (math.inf, 0, 0))
+        monkeypatch.setattr(F, "completeness", lambda dist: c)
+        res = F.approx_ratio("maxcut", grid=2, rounds=0, n=20)
+        assert (res.alpha, res.rho) == (0.0, -1.0)
+        assert _bits(res.ratio) == _bits(math.inf if c <= 1e-12 else s / c)
 
     @pytest.mark.parametrize("problem", ["maxcut", "nae3"])
     @pytest.mark.parametrize("grid", [21, 60, 97])
